@@ -172,11 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-group", type=int, default=64, metavar="N",
                        help="largest burst dispatched as one batched "
                             "group (default 64)")
-    serve.add_argument("--batch-window", type=float, default=0.005,
-                       metavar="SECONDS",
-                       help="how long the dispatcher lingers so a burst "
-                            "can share one batched tick loop "
-                            "(default 0.005)")
     _add_runner_arguments(serve)
 
     loadtest = subparsers.add_parser(
@@ -271,8 +266,7 @@ def _serve(args, runner: ExperimentRunner) -> int:
     try:
         asyncio.run(serve_async(runner, host=args.host, port=args.port,
                                 max_queue=args.queue_size,
-                                max_group=args.max_group,
-                                batch_window_s=args.batch_window))
+                                max_group=args.max_group))
     except KeyboardInterrupt:
         print("shutting down (accepted runs drained)")
     return 0

@@ -41,6 +41,22 @@ SPEC_FIELDS: Tuple[str, ...] = tuple(
     field.name for field in dataclasses.fields(RunRequest))
 
 
+def _field_types(cls: Type[Any]) -> Dict[str, Any]:
+    hints = typing.get_type_hints(cls)
+    return {field.name: hints[field.name]
+            for field in dataclasses.fields(cls)}
+
+
+#: Resolved field types of every dataclass a spec carries, resolved once
+#: at import: the annotations are strings (``from __future__ import
+#: annotations``), and each ``typing.get_type_hints`` call evaluates
+#: them all again, which costs ten times the rest of parsing a spec.
+_FIELD_TYPES: Dict[Type[Any], Dict[str, Any]] = {
+    cls: _field_types(cls)
+    for cls in (RunRequest, ExperimentSetup, ControllerConfig, SolarConfig)
+}
+
+
 def _type_name(hint: Any) -> str:
     return getattr(hint, "__name__", str(hint))
 
@@ -85,13 +101,12 @@ def _dataclass_from_spec(cls: Type[Any], payload: Any, where: str) -> Any:
     if not isinstance(payload, Mapping):
         raise SpecError(f"{where} must be a JSON object, "
                         f"got {type(payload).__name__}")
-    hints = typing.get_type_hints(cls)
-    known = {field.name for field in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - known)
+    hints = _FIELD_TYPES[cls]
+    unknown = sorted(set(payload) - hints.keys())
     if unknown:
         raise SpecError(f"{where} has unknown field(s) "
                         f"{', '.join(map(repr, unknown))}; "
-                        f"known: {', '.join(sorted(known))}")
+                        f"known: {', '.join(sorted(hints))}")
     kwargs = {
         name: _coerce_scalar(value, hints[name], f"{where}.{name}")
         for name, value in payload.items()
@@ -157,7 +172,7 @@ def request_from_spec(payload: Any) -> RunRequest:
                             f"got {type(faults).__name__}")
         kwargs["faults"] = schedule_from_dict(dict(faults))
 
-    hints = typing.get_type_hints(RunRequest)
+    hints = _FIELD_TYPES[RunRequest]
     for name in ("renewable", "start_hour", "policy_sc_fraction",
                  "policy_total_wh"):
         if name in payload:

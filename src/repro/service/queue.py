@@ -22,12 +22,15 @@ execution error, or faults with
 :class:`~repro.errors.ServiceShutdownError` when the service stops
 without draining.
 
-Batch grouping: the dispatcher drains bursts of queued runs and hands
-them to :meth:`ExperimentRunner.map` in one call, so compatible queued
-requests ride one :class:`~repro.sim.batch.BatchSimulation` tick loop
-(the runner's ``plan_units`` grouping) exactly as CLI sweeps do.  The
-blocking runner call executes on a worker thread; the event loop stays
-responsive for submissions and polls while a batch simulates.
+Group commit: whenever the dispatcher is idle it hands every pending
+run (up to ``max_group``) to :meth:`ExperimentRunner.map` at once, and
+runs that arrive while that call executes form the next group.  A lone
+submission is dispatched without waiting; a burst that queues behind a
+running group still rides one :class:`~repro.sim.batch.BatchSimulation`
+tick loop (the runner's ``plan_units`` grouping) exactly as CLI sweeps
+do.  The blocking runner call executes on a worker thread; the event
+loop stays responsive for submissions and polls while a group
+simulates.
 """
 
 from __future__ import annotations
@@ -126,9 +129,6 @@ class ScenarioService:
             submissions raise :class:`QueueFullError`.
         max_group: Largest burst handed to one ``runner.map`` call (the
             upper bound on one batched group's lane count).
-        batch_window_s: How long the dispatcher lingers after finding
-            work, letting a burst accumulate so compatible requests
-            land in the same batched group.  Zero dispatches eagerly.
         max_done: Completed entries kept in memory for registry hits;
             older ones are evicted (their results remain in the on-disk
             cache).
@@ -138,13 +138,11 @@ class ScenarioService:
     def __init__(self, runner: ExperimentRunner,
                  max_queue: int = 256,
                  max_group: int = 64,
-                 batch_window_s: float = 0.005,
                  max_done: int = 4096,
                  run_batch: Optional[RunBatch] = None) -> None:
         self.runner = runner
         self.max_queue = max_queue
         self.max_group = max_group
-        self.batch_window_s = batch_window_s
         self.max_done = max_done
         self.metrics = ServiceMetrics()
         self._run_batch: RunBatch = (run_batch if run_batch is not None
@@ -352,10 +350,6 @@ class ScenarioService:
                 self._wake.clear()
                 await self._wake.wait()
                 continue
-            if self.batch_window_s > 0.0 and not self._draining:
-                # Linger briefly so a burst of submissions lands in one
-                # runner call (and thereby one batched group).
-                await asyncio.sleep(self.batch_window_s)
             group: List[RunEntry] = []
             while self._pending and len(group) < self.max_group:
                 group.append(self._pending.popleft())

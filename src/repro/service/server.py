@@ -72,13 +72,18 @@ async def _read_request(reader: asyncio.StreamReader
     """Parse one HTTP/1.1 request; None on a cleanly closed connection.
 
     Raises:
-        ProtocolError: On a malformed request line, oversized headers,
-            or a body exceeding :data:`MAX_BODY_BYTES`.
+        ProtocolError: On a malformed or over-long request line,
+            oversized headers, or a body exceeding
+            :data:`MAX_BODY_BYTES`.
     """
     try:
         line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+    except ConnectionError:
         return None
+    except ValueError:
+        # readline() reports a line longer than the reader's buffer
+        # limit (64 KiB by default) as ValueError.
+        raise ProtocolError("request line too long") from None
     if not line:
         return None
     if len(line) > MAX_REQUEST_LINE_BYTES:
@@ -91,7 +96,10 @@ async def _read_request(reader: asyncio.StreamReader
     headers: Dict[str, str] = {}
     header_bytes = 0
     while True:
-        raw = await reader.readline()
+        try:
+            raw = await reader.readline()
+        except ValueError:
+            raise ProtocolError("request headers too large") from None
         header_bytes += len(raw)
         if header_bytes > MAX_HEADER_BYTES:
             raise ProtocolError("request headers too large")
@@ -307,12 +315,10 @@ class ScenarioServer:
 
 async def serve(runner: ExperimentRunner, host: str = "127.0.0.1",
                 port: int = 8421, max_queue: int = 256,
-                max_group: int = 64,
-                batch_window_s: float = 0.005) -> None:
+                max_group: int = 64) -> None:
     """Run the service until cancelled; drains accepted runs on exit."""
     service = ScenarioService(runner, max_queue=max_queue,
-                              max_group=max_group,
-                              batch_window_s=batch_window_s)
+                              max_group=max_group)
     server = ScenarioServer(service, host=host, port=port)
     await server.start()
     print(f"repro service listening on http://{server.host}:{server.port}"

@@ -86,7 +86,6 @@ def make_service(run_batch: Optional[Callable] = None,
                  cache=None, **kwargs) -> ScenarioService:
     """A service over a serial cacheless runner (behaviour-test rig)."""
     runner = ExperimentRunner(jobs=1, cache=cache)
-    kwargs.setdefault("batch_window_s", 0.0)
     return ScenarioService(runner, run_batch=run_batch, **kwargs)
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import asyncio
 import json
 
+import pytest
+
 from repro.service import ServiceClient
 
 from .conftest import make_service, run_async, start_server
@@ -111,6 +113,28 @@ def test_oversized_body_is_rejected_not_read():
                 "Content-Length: 99999999\r\n\r\n").encode("latin-1")
         raw = await _raw_exchange(server.host, server.port, head)
         assert raw.startswith(b"HTTP/1.1 400")
+        await server.close()
+
+    run_async(scenario())
+
+
+@pytest.mark.parametrize("raw_request, message", [
+    (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+     b"request line too long"),
+    (b"GET /stats HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+     b"request headers too large"),
+], ids=["request-line", "header-line"])
+def test_line_past_the_stream_limit_is_400_and_close(raw_request,
+                                                      message):
+    """A line longer than the 64 KiB StreamReader limit makes readline()
+    raise; it must still get the structured 400, not a dropped socket."""
+
+    async def scenario():
+        service = make_service()
+        server = await start_server(service)
+        raw = await _raw_exchange(server.host, server.port, raw_request)
+        assert raw.startswith(b"HTTP/1.1 400")
+        assert b"ProtocolError" in raw and message in raw
         await server.close()
 
     run_async(scenario())

@@ -8,11 +8,15 @@ same cache key), and every malformed spec fails with a structured
 
 from __future__ import annotations
 
+import typing
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pytest
 
+from repro.config import ControllerConfig
 from repro.core import POLICY_NAMES
 from repro.errors import SpecError
 from repro.faults import FaultSchedule
@@ -20,6 +24,7 @@ from repro.faults.events import UtilityOutage
 from repro.runner import ExperimentSetup, RunRequest, cache_key
 from repro.service import request_from_spec, request_to_spec
 from repro.workloads import workload_names
+from repro.workloads.solar import SolarConfig
 
 WORKLOADS = tuple(workload_names())
 
@@ -108,3 +113,25 @@ def test_spec_and_request_share_one_cache_key():
     direct = RunRequest(scheme="SCFirst", workload="WC",
                         setup=ExperimentSetup(duration_h=0.5, seed=9))
     assert cache_key(request_from_spec(spec)) == cache_key(direct)
+
+
+def test_parsing_resolves_type_hints_at_most_once_per_dataclass(
+        monkeypatch):
+    """Type hints are per class, not per spec: resolving the string
+    annotations costs ten times the rest of parsing a spec."""
+    resolved = Counter()
+    real_get_type_hints = typing.get_type_hints
+
+    def counting(obj, *args, **kwargs):
+        resolved[obj] += 1
+        return real_get_type_hints(obj, *args, **kwargs)
+
+    monkeypatch.setattr(typing, "get_type_hints", counting)
+    for seed in range(20):
+        request = RunRequest(
+            scheme="HEB-D", workload="PR",
+            setup=ExperimentSetup(duration_h=0.5, seed=seed),
+            controller=ControllerConfig(), solar=SolarConfig(),
+            renewable=True, policy_sc_fraction=0.3)
+        assert request_from_spec(request_to_spec(request)) == request
+    assert all(count <= 1 for count in resolved.values()), resolved
