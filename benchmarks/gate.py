@@ -1,14 +1,14 @@
 """Shared plumbing for the throughput benchmarks and their gates.
 
-Three benchmark families (``engine``, ``batch``, ``service``) share one
-result file and one regression-gate policy:
+Four benchmark families (``engine``, ``batch``, ``faulted``,
+``service``) share one result file and one regression-gate policy:
 
 * each measurement is merged as a named section into
   ``benchmarks/BENCH_engine.json``;
 * each section carries a commit-agnostic ``config_hash`` fingerprinting
   everything the number depends on, so editing a benchmark invalidates
   its baseline loudly instead of silently comparing different workloads;
-* the gate fails when a throughput metric drops below
+* the gate fails when a throughput (or speedup) metric drops below
   :data:`GATE_FRACTION` of the matching section in
   ``benchmarks/BENCH_baseline.json`` (``REPRO_BENCH_SKIP_GATE=1``
   measures without enforcing, e.g. on a loaded machine).
@@ -28,7 +28,7 @@ RESULT_PATH = BENCH_DIR / "BENCH_engine.json"
 BASELINE_PATH = BENCH_DIR / "BENCH_baseline.json"
 
 #: Sections the result file keeps; anything else is dropped on write.
-SECTIONS = ("engine", "batch", "service")
+SECTIONS = ("engine", "batch", "faulted", "service")
 
 #: Fail when throughput drops below this fraction of the recorded baseline.
 GATE_FRACTION = 0.7
@@ -88,6 +88,6 @@ def enforce_gate(section: str, measurement: dict, metric: str,
         f"'{section}' section of BENCH_baseline.json")
     floor = baseline[metric] * GATE_FRACTION
     assert measurement[metric] >= floor, (
-        f"{section} throughput regression: {measurement[metric]:,.0f} "
+        f"{section} throughput regression: {measurement[metric]:,.2f} "
         f"{unit} is below {GATE_FRACTION:.0%} of the recorded baseline "
-        f"{baseline[metric]:,.0f} {unit}")
+        f"{baseline[metric]:,.2f} {unit}")

@@ -101,7 +101,7 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
         aliases={
             "shed_lru": "shed_lru_lane",
             "restart_offline": "restart_offline_lane",
-            "total_downtime_s": "total_downtime_lane",
+            "total_downtime_s": "total_downtime_lanes",
             "total_restart_energy_j": "total_restart_energy_lane",
             "total_restarts": "total_restarts_lane",
         },
@@ -188,16 +188,18 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
             "state": "the KiBaM wells live in the (lanes,) available/"
                      "bound arrays; the scalar state object is rebuilt "
                      "at write_back()",
-            "internal_resistance_ohm": "captured as a constant lane "
-                                       "array and inlined into the "
-                                       "batch voltage arithmetic",
-            "age_fraction": "aging is frozen for the duration of a run "
-                            "(captured at construction); throughput "
-                            "rides BatchLifetime and writes back per "
-                            "lane",
-            "apply_aging": "a between-runs mutator; lanes are "
-                           "single-use, so aging lands on the wrapped "
-                           "scalar battery via write_back()",
+            "internal_resistance_ohm": "captured as a lane array "
+                                       "(re-read by rehoist_lane()) "
+                                       "and inlined into the batch "
+                                       "voltage arithmetic",
+            "age_fraction": "captured with the aged capacity and "
+                            "resistance at construction and at each "
+                            "rehoist_lane(); throughput rides "
+                            "BatchLifetime and writes back per lane",
+            "apply_aging": "a fault step runs the scalar mutator on "
+                           "the lane's written-back battery, then "
+                           "rehoist_lane() re-reads the lane through "
+                           "the constructor",
             "config": "lanes share per-lane scalar configs captured as "
                       "constant arrays at construction",
             "telemetry": "per-lane telemetry lives in BatchTelemetry "
@@ -230,14 +232,12 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
             "voltage": "per-lane terminal voltage is internal batch "
                        "state; the scalar accessor is served by the "
                        "wrapped device after write_back()",
-            "esr_ohm": "captured as the constant (lanes,) esr array at "
-                       "construction",
-            "apply_esr_drift": "a between-runs mutator; lanes are "
-                               "single-use and capture ESR at "
-                               "construction",
-            "apply_leakage": "a caller-facing self-discharge hook the "
-                             "engine's settle path never invokes; "
-                             "batch rest() mirrors settle exactly",
+            "esr_ohm": "captured as the (lanes,) esr array at "
+                       "construction and re-read by rehoist_lane()",
+            "apply_esr_drift": "a fault step runs the scalar mutator "
+                               "on the lane's written-back SC, then "
+                               "rehoist_lane() re-reads the lane "
+                               "through the constructor",
             "config": "lanes share per-lane scalar configs captured as "
                       "constant arrays at construction",
             "telemetry": "per-lane telemetry lives in BatchTelemetry "
@@ -274,10 +274,10 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
                       "slices",
             "set_outlet": "outlet gating rides the cluster state codes "
                           "in the batched engine",
-            "latest": "ring reads never feed results; the batch ring "
-                      "exists only for component fidelity",
-            "history": "ring reads never feed results; the batch ring "
-                       "exists only for component fidelity",
+            "latest": "no result reads meter history, so the batch "
+                      "IPDU keeps none",
+            "history": "no result reads meter history, so the batch "
+                       "IPDU keeps none",
         },
         check_attrs=False,
     ),

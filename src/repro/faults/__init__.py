@@ -35,7 +35,7 @@ from .events import (
     WindowedFault,
     event_from_dict,
 )
-from .injector import FaultInjector
+from .injector import FaultInjector, FaultState, fault_state_at
 from .schedule import (
     FaultSchedule,
     dump_schedule,
@@ -60,6 +60,8 @@ __all__ = [
     "SensorNoise",
     "event_from_dict",
     "FaultInjector",
+    "FaultState",
+    "fault_state_at",
     "FaultSchedule",
     "schedule_from_dict",
     "load_schedule",

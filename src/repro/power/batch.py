@@ -8,14 +8,14 @@ counting position changes every tick yields the identical
 ``total_switches`` per lane.
 
 :class:`BatchIPDU` meters per-lane energy with the scalar IPDU's
-outlet-order accumulation and keeps the same bounded ring of row
-references (here (lanes, outlets) rows) for fidelity with the scalar
-component; the engine never reads the ring back into results.
+outlet-order accumulation.  It keeps no reading history: nothing in a
+run's result reads the scalar IPDU's ring, and a ring of per-tick row
+references would pin a slot's worth of draw rows in memory.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -67,32 +67,19 @@ class BatchFabric:
 class BatchIPDU:
     """N intelligent PDUs metering (lanes, outlets) draws per tick."""
 
-    def __init__(self, n: int, num_outlets: int,
-                 history_limit: int) -> None:
+    def __init__(self, n: int, num_outlets: int) -> None:
         self.n = n
         self.num_outlets = num_outlets
-        self.history_limit = history_limit
-        self._ring_rows: List[Optional[np.ndarray]] = [None] * history_limit
-        self._ring_t = [0.0] * history_limit
-        self._ring_len = 0
-        self._ring_next = 0
         self.energy_metered_j = np.zeros(n)
 
     def record_array(self, timestamp_s: float, draws_w: np.ndarray,
                      dt: float, total_w: Optional[np.ndarray] = None) -> None:
-        """Meter one (lanes, outlets) sample, captured by reference.
+        """Meter one (lanes, outlets) sample.
 
         ``total_w`` may supply the outlet-order draw totals when the
         caller already holds them (the engine's precomputed per-tick
         demand totals, valid whenever draws equal raw demands).
         """
-        slot = self._ring_next
-        self._ring_rows[slot] = draws_w
-        self._ring_t[slot] = timestamp_s
-        slot += 1
-        self._ring_next = slot if slot < self.history_limit else 0
-        if self._ring_len < self.history_limit:
-            self._ring_len += 1
         # Outlet-order accumulation, then the single * dt, exactly like
         # the scalar ``sum(draws_w.tolist()) * dt``.
         if total_w is None:

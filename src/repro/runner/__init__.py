@@ -15,7 +15,6 @@ See ``docs/runner.md`` for the cache layout and invalidation rules.
 """
 
 from .batch import (
-    batchable,
     execute_request_group,
     group_key,
     plan_units,
@@ -45,7 +44,6 @@ __all__ = [
     "ExperimentSetup",
     "ResultCache",
     "RunRequest",
-    "batchable",
     "build_simulation",
     "cache_key",
     "canonical_json",

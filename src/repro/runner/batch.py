@@ -7,9 +7,8 @@ of that while routing *compatible* cache misses through one
 loops:
 
 * requests group by (duration, slot length) — the tick/slot grid the
-  batched engine requires scenarios to share;
-* fault-injected requests never batch (the injector's hook protocol is
-  scalar-only) and run the scalar path unchanged;
+  batched engine requires scenarios to share; fault-injected requests
+  group like any other (each lane carries its own injector);
 * a group that still fails the engine's own compatibility validation
   (device banks, wide clusters, ...) falls back to per-request scalar
   execution inside the worker;
@@ -44,11 +43,6 @@ from .request import RunRequest, build_simulation, execute_request
 ExecutionUnit = Tuple[str, Tuple[RunRequest, ...]]
 
 
-def batchable(request: RunRequest) -> bool:
-    """True when ``request`` may join a batched group at all."""
-    return request.faults is None
-
-
 def group_key(request: RunRequest) -> Tuple[float, float]:
     """The shared tick/slot grid a batched group must agree on."""
     controller = request.controller or ControllerConfig()
@@ -71,10 +65,7 @@ def plan_units(requests: Sequence[RunRequest],
     groups: Dict[Tuple[float, float], List[int]] = {}
     singles: List[int] = []
     for index, request in enumerate(requests):
-        if batchable(request):
-            groups.setdefault(group_key(request), []).append(index)
-        else:
-            singles.append(index)
+        groups.setdefault(group_key(request), []).append(index)
 
     units: List[ExecutionUnit] = []
     positions: List[List[int]] = []
@@ -125,7 +116,6 @@ def execute_unit(unit: ExecutionUnit) -> List[RunResult]:
 
 __all__ = [
     "ExecutionUnit",
-    "batchable",
     "execute_request_group",
     "execute_unit",
     "group_key",

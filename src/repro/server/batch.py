@@ -223,12 +223,12 @@ class BatchCluster:
 
     # -- per-lane reporting ---------------------------------------------
 
-    def total_downtime_lane(self, lane: int) -> float:
-        """Sequential per-server downtime sum for one lane."""
-        total = 0.0
-        row = self.downtime_s[lane]
-        for sid in range(self.num_servers):  # repro: noqa[RPR502] index-order accumulation matches the scalar sum()
-            total += float(row[sid])
+    def total_downtime_lanes(self) -> np.ndarray:
+        """(lanes,) downtime sums, accumulated in server-index order
+        like the scalar ``sum()``."""
+        total = np.zeros(self.n)
+        for sid in range(self.num_servers):
+            total = total + self.downtime_s[:, sid]
         return total
 
     def total_restart_energy_lane(self, lane: int) -> float:

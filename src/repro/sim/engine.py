@@ -22,13 +22,21 @@ Power-flow rules per tick (all at the server side of the converter):
    the pools in the plan's ``charge_order``.
 
 Fault injection: an optional :class:`~repro.faults.FaultInjector` hooks
-the loop at three points — the tick prologue (degradation steps, budget
-sag, pool availability), :meth:`Simulation._observe` (sensor corruption
-and availability flags on the slot observation), and
+the loop at four points — the tick prologue (degradation steps, SC
+leakage, budget sag, pool availability), :meth:`Simulation._observe`
+(sensor corruption and availability flags on the slot observation),
 :meth:`Simulation._serve_buffers` / :meth:`Simulation._charge_pools`
-(unreachable pools neither serve, back up, nor charge).  Every hook is
-gated on ``injector is not None``, so a run without an injector is
-bit-identical to one from before the subsystem existed.
+(unreachable pools neither serve, back up, nor charge), and the tick
+epilogue (downtime attribution per fault class).  Every hook is gated
+on ``injector is not None``, so a run without an injector is
+bit-identical to one from before the subsystem existed.  The batched
+engine (:mod:`repro.sim.batch`) consults the same injector at the same
+four points, one lane at a time on the ticks where its fault state
+changes.
+
+The cluster, scheduler, relay fabric and IPDU are built by :meth:`run`,
+not by the constructor: the batched engine consumes constructed
+simulations for their trace, policy, buffers and configs only.
 """
 
 from __future__ import annotations
@@ -101,17 +109,6 @@ class Simulation:
             raise SimulationError(
                 "trace dt must equal the engine tick length")
 
-        self.cluster = ServerCluster(self.cluster_config)
-        self.scheduler = LoadScheduler()
-        self.fabric = SwitchFabric(self.cluster_config.num_servers)
-        # The IPDU meters per-server draw every tick, exactly as the
-        # prototype's unit reports over SNMP (Section 6); the history is
-        # bounded to one control slot.
-        slot_ticks = max(1, int(round(self.controller_config.slot_seconds
-                                      / self.sim_config.tick_seconds)))
-        self.ipdu = IPDU(self.cluster_config.num_servers,
-                         history_limit=slot_ticks)
-
     # ------------------------------------------------------------------
 
     def run(self) -> RunResult:
@@ -120,6 +117,15 @@ class Simulation:
         controller = self.controller_config
         slot_ticks = max(1, int(round(controller.slot_seconds / dt)))
         num_ticks = self.trace.num_samples
+
+        num_servers = self.cluster_config.num_servers
+        self.cluster = ServerCluster(self.cluster_config)
+        self.scheduler = LoadScheduler()
+        self.fabric = SwitchFabric(num_servers)
+        # The IPDU meters per-server draw every tick, exactly as the
+        # prototype's unit reports over SNMP (Section 6); the history is
+        # bounded to one control slot.
+        self.ipdu = IPDU(num_servers, history_limit=slot_ticks)
 
         accumulator = MetricsAccumulator()
         slot_records: List[SlotRecord] = []

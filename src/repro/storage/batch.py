@@ -40,6 +40,12 @@ Throughput notes (this module is the batched engine's inner loop):
   guarantees at most one battery flow per lane per tick, so the charge
   step and the rest-lane step merge into one vectorized update at
   settle time (the wells are not read in between).
+
+Persistent degradation (battery aging, ESR drift) has no lane-parallel
+copy: the lane is written back to its scalar device, the device's own
+mutator runs, and :meth:`BatchBattery.rehoist_lane` /
+:meth:`BatchSupercap.rehoist_lane` re-read that lane through the
+constructor — the hoisting exists once.
 """
 
 from __future__ import annotations
@@ -93,6 +99,22 @@ def pow_lanes(base: np.ndarray, exponents: Sequence[float],
     out[idx] = [v ** exponents[i]  # repro: noqa[RPR502] per-element CPython pow: np.power's SIMD path is not bit-identical to the scalar models' `**`
                 for i, v in zip(idx.tolist(), values)]
     return out
+
+
+def _splice_lane(twin, fresh, lane: int) -> None:
+    """Overwrite one lane of ``twin`` with a one-lane twin's hoisted values.
+
+    Every writable (lanes,) array and per-lane list of ``fresh`` lands
+    in lane ``lane``.  Arrays are replaced, not written in place, so
+    nothing holding an old column sees it change.
+    """
+    for name, value in vars(fresh).items():
+        if isinstance(value, np.ndarray) and value.flags.writeable:
+            column = getattr(twin, name).copy()
+            column[lane] = value[0]
+            setattr(twin, name, column)
+        elif isinstance(value, list):
+            getattr(twin, name)[lane] = value[0]
 
 
 class BatchTelemetry:
@@ -233,7 +255,6 @@ class BatchBattery:
         self.r_small = self.r <= _DEVICE_EPS
         self.r_safe = np.where(self.r_small, 1.0, self.r)
         self.two_r = 2.0 * self.r_safe
-        self.any_r_small = bool(self.r_small.any())
 
         coeffs = [kibam_coefficients(c.kibam_k_per_s, c.kibam_c, dt)
                   for c in cfg]
@@ -243,19 +264,33 @@ class BatchBattery:
         self.denominator = np.array([co.denominator for co in coeffs])
         self.den_bad = self.denominator <= 0.0
         self.den_safe = np.where(self.den_bad, 1.0, self.denominator)
-        self.any_den_bad = bool(self.den_bad.any())
 
         self._zeros = np.zeros(n)
         self._zeros.setflags(write=False)
         # Deferred KiBaM step (see flush_step).
         self._def_mask: Optional[np.ndarray] = None
         self._def_i: Optional[np.ndarray] = None
+        self._derive_flags()
+
+    def _derive_flags(self) -> None:
+        """Whole-batch shortcuts, recomputed whenever a lane is re-hoisted."""
+        self.any_r_small = bool(self.r_small.any())
+        self.any_den_bad = bool(self.den_bad.any())
         # With the wells inside their capacity bounds, the scalar's
         # ``min(1, max(0, y1 / avail_cap))`` SoC fraction is bitwise the
         # bare ratio; the KiBaM clamps maintain the invariant, so it
-        # only needs checking on the initial state.
+        # only needs checking when wells are loaded from devices.
         self.fraction_plain = bool(
             (self.y1 >= 0.0).all() and (self.y1 <= self.avail_cap).all())
+
+    def rehoist_lane(self, lane: int, battery: LeadAcidBattery) -> None:
+        """Re-read one lane's wells and constants from its scalar battery.
+
+        For after a scalar mutator (``apply_aging``) ran on a battery
+        this lane was written back to; telemetry stays in the batch.
+        """
+        _splice_lane(self, BatchBattery([battery], self.dt), lane)
+        self._derive_flags()
 
     # -- state views ---------------------------------------------------
 
@@ -546,6 +581,7 @@ class BatchSupercap:
                  dt: float) -> None:
         n = len(scs)
         self.n = n
+        self.dt = dt
         self.telemetry = BatchTelemetry(n)
         self.present = np.array([s is not None for s in scs], dtype=bool)
 
@@ -572,13 +608,26 @@ class BatchSupercap:
         self.esr_small = self.esr <= _DEVICE_EPS
         self.esr_safe = np.where(self.esr_small, 1.0, self.esr)
         self.two_esr = 2.0 * self.esr_safe
+
+        self._zeros = np.zeros(n)
+        self._zeros.setflags(write=False)
+        self._derive_flags()
+
+    def _derive_flags(self) -> None:
+        """Whole-batch shortcuts, recomputed whenever a lane is re-hoisted."""
         # True when every *present* lane has a real ESR — the common
         # case, which skips the zero-ESR current formulas entirely
         # (parked lanes compute garbage that their masks discard).
         self.esr_uniform = not bool((self.esr_small & self.present).any())
 
-        self._zeros = np.zeros(n)
-        self._zeros.setflags(write=False)
+    def rehoist_lane(self, lane: int, sc: Supercapacitor) -> None:
+        """Re-read one lane's charge and constants from its scalar SC.
+
+        For after a scalar mutator (``apply_esr_drift``) ran on a device
+        this lane was written back to; telemetry stays in the batch.
+        """
+        _splice_lane(self, BatchSupercap([sc], self.dt), lane)
+        self._derive_flags()
 
     # -- state views ---------------------------------------------------
 
@@ -727,6 +776,30 @@ class BatchSupercap:
 
     def rest(self, mask: np.ndarray, dt: float) -> None:
         self.telemetry.record_rest(mask, dt)
+
+    def apply_leakage(self, mask: np.ndarray, power_w: np.ndarray,
+                      dt: float) -> None:
+        """Lane-parallel ``Supercapacitor.apply_leakage``.
+
+        The drained energy leaves as internal loss only.  Lanes outside
+        ``mask``, with no leakage or with an empty cell keep their
+        charge and counters untouched, exactly like the scalar's early
+        return.
+        """
+        cap = self.capacitance
+        v = self.charge_c / cap
+        active = mask & (power_w > 0.0) & (v > _DEVICE_EPS)
+        if not np.count_nonzero(active):
+            return
+        current = power_w / np.where(active, v, 1.0)
+        drained_c = sel_min(self.charge_c, current * dt)
+        v_end = (self.charge_c - drained_c) / cap
+        leaked_j = 0.5 * (v + v_end) * drained_c
+        self.charge_c = np.where(active, self.charge_c - drained_c,
+                                 self.charge_c)
+        telemetry = self.telemetry
+        telemetry.loss_j = np.where(active, telemetry.loss_j + leaked_j,
+                                    telemetry.loss_j)
 
     def write_back(self, lane: int, sc: Supercapacitor) -> None:
         sc._charge_c = float(self.charge_c[lane])

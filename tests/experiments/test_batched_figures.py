@@ -5,8 +5,8 @@ enabled (the default) the golden figures execute through
 ``BatchSimulation`` grouping.  These tests pin the router-level
 contract: the batched and scalar execution paths produce the same
 figures — identical values, identical cache keys — including the
-resilience sweep whose fault-injected requests must fall back to
-scalar execution inside the batched runner.
+resilience sweep, whose fault-injected requests batch with its clean
+ones.
 """
 
 from __future__ import annotations
@@ -72,11 +72,12 @@ class TestFiguresBatchedVsScalar:
                     f"fig13 ratio {ratio} {metric}: {actual!r} vs "
                     f"{expected!r}")
 
-    def test_resilience_sweep_identical_with_fault_fallback(self):
-        """Faulted lanes run scalar inside the batched runner; the
-        zero-intensity lanes batch — the sweep must not notice."""
-        with using_runner(ExperimentRunner(jobs=1, batch=True)):
+    def test_resilience_sweep_identical_with_faulted_lanes_batched(self):
+        """Faulted and zero-intensity lanes share one batched group;
+        the sweep must not notice."""
+        with using_runner(ExperimentRunner(jobs=1, batch=True)) as runner:
             batched = run_resilience(**RESILIENCE_PARAMS)
+            assert runner.batched == runner.misses
         with using_runner(ExperimentRunner(jobs=1, batch=False)):
             scalar = run_resilience(**RESILIENCE_PARAMS)
         assert set(batched) == set(scalar)

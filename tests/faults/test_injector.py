@@ -1,6 +1,7 @@
 """Unit tests for the FaultInjector tick protocol and its engine hooks."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import prototype_buffer
 from repro.core.policies.base import SlotObservation
@@ -12,11 +13,13 @@ from repro.faults import (
     ConverterDropout,
     FaultInjector,
     FaultSchedule,
+    FaultState,
     SensorNoise,
     SupercapESRDrift,
     SupercapLeakage,
     UtilityBrownout,
     UtilityOutage,
+    fault_state_at,
 )
 from repro.sim import HybridBuffers
 
@@ -59,6 +62,57 @@ class TestTickProtocol:
         assert buffers.total_stored_j == before
         obs = observation()
         assert injector.observe(obs) is obs
+
+
+#: Windows and steps whose edges fall on, between and beyond the ticks
+#: of a short grid.
+_edge = st.one_of(st.sampled_from((0.0, 0.5, 1.0, 2.5, 7.0, 40.0)),
+                  st.floats(min_value=0.0, max_value=30.0))
+_events = st.lists(st.one_of(
+    st.builds(UtilityBrownout, start_s=_edge, duration_s=_edge,
+              budget_fraction=st.floats(min_value=0.0, max_value=1.0)),
+    st.builds(UtilityOutage, start_s=_edge, duration_s=_edge),
+    st.builds(BatteryCellAging, start_s=_edge),
+    st.builds(SupercapESRDrift, start_s=_edge),
+    st.builds(SupercapLeakage, start_s=_edge, duration_s=_edge),
+    st.builds(SensorNoise, start_s=_edge, duration_s=_edge),
+), max_size=5)
+
+
+class TestFaultStateFold:
+    def test_nothing_active_is_the_neutral_state(self):
+        assert fault_state_at((), 0.0) == FaultState()
+        assert FaultState().sc_available and FaultState().battery_available
+
+    @given(events=_events,
+           dt=st.sampled_from((0.25, 1.0, 1.5)),
+           num_ticks=st.integers(min_value=1, max_value=30))
+    @settings(max_examples=60, deadline=None)
+    def test_state_changes_only_on_change_ticks(self, events, dt,
+                                                num_ticks):
+        """Between two change ticks the pure fold returns one state, and
+        the injector's snapshot follows the fold on every tick."""
+        injector = FaultInjector(FaultSchedule(events=tuple(events)))
+        schedule_events = injector.schedule.events
+        changes = injector.change_ticks(dt, num_ticks)
+        assert changes[0] == 0 and changes == sorted(set(changes))
+        assert all(tick < num_ticks for tick in changes)
+        state = None
+        for tick in range(num_ticks):
+            folded = fault_state_at(schedule_events, tick * dt)
+            if tick in changes:
+                state = folded
+            assert folded == state
+            injector.advance(tick * dt)
+            assert injector.state == folded
+
+    def test_advance_returns_each_step_once(self):
+        aging = BatteryCellAging(start_s=2.0, fade_fraction=0.1)
+        drift = SupercapESRDrift(start_s=2.0)
+        injector = make_injector(aging, drift)
+        assert injector.advance(0.0) == []
+        assert injector.advance(2.0) == [aging, drift]
+        assert injector.advance(3.0) == []
 
 
 class TestSupplyFaults:

@@ -1,9 +1,9 @@
-"""Fault-carrying submissions: scalar fallback, bit-exact, never a 500.
+"""Fault-carrying submissions: bit-exact, never a 500.
 
-A spec with a fault schedule must route through the scalar engine (the
-batched engine doesn't model fault injection) and return exactly the
-bytes a direct in-process :func:`execute_request` produces; a malformed
-schedule is a structured 400 with ``FaultSpecError`` as the code.
+A spec with a fault schedule must return exactly the bytes a direct
+in-process :func:`execute_request` produces, whichever engine its
+dispatch group takes; a malformed schedule is a structured 400 with
+``FaultSpecError`` as the code.
 """
 
 from __future__ import annotations

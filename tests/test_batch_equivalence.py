@@ -10,9 +10,13 @@ the whole stack to that contract:
   utility budgets and renewable supplies;
 * hypothesis-driven random scenario sets (schemes, workloads, seeds,
   budgets, SC fractions mixed freely within one batch);
-* the batched runner path: grouping, per-scenario fault schedules
-  falling back to scalar execution, cache-key/hit accounting, and
-  cache interchangeability between the batched and scalar paths;
+* fault-injected lanes: random storms over all eight fault kinds mixed
+  with clean and renewable lanes, each faulted lane also checked to
+  give the same result alone as in the mix (lane independence), and
+  the golden fault fixtures run as one batched group;
+* the batched runner path: grouping (faulted requests included),
+  cache-key/hit accounting, and cache interchangeability between the
+  batched and scalar paths;
 * the degenerate shapes — empty batch, singleton batch.
 
 Everything compares with ``==`` on the full result dataclasses: any
@@ -28,7 +32,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import ControllerConfig
 from repro.core.policies import POLICY_NAMES
-from repro.faults import FaultSchedule, UtilityOutage
+from repro.core.policies.base import Policy, SlotPlan
+from repro.faults import (
+    BatteryCellAging,
+    BatteryOpenCircuit,
+    ConverterDropout,
+    FaultSchedule,
+    SensorNoise,
+    SupercapESRDrift,
+    SupercapLeakage,
+    UtilityBrownout,
+    UtilityOutage,
+    schedule_from_dict,
+)
 from repro.runner import (
     ExperimentRunner,
     ExperimentSetup,
@@ -38,6 +54,12 @@ from repro.runner import (
     plan_units,
 )
 from repro.sim.batch import BatchSimulation
+
+from tests.faults.test_golden_scenarios import (
+    SCENARIOS as GOLDEN_FAULT_SCENARIOS,
+    assert_close,
+    load_golden,
+)
 
 #: Short control slots keep runs fast while still crossing several
 #: plan boundaries (the regime where lanes diverge hardest).
@@ -152,6 +174,199 @@ class TestRandomizedScenarioSets:
 
 
 # ----------------------------------------------------------------------
+# Fault-injected lanes
+# ----------------------------------------------------------------------
+
+#: Length of a default ``_request`` run (0.1 h).
+RUN_S = 360.0
+
+#: Event starts: on and between slot boundaries, at t=0, at the last
+#: tick, at the run's end and far past it, plus anything in between.
+fault_start = st.one_of(
+    st.sampled_from((0.0, 59.0, 60.0, 120.5, RUN_S - 1.0, RUN_S,
+                     10 * RUN_S)),
+    st.floats(min_value=0.0, max_value=1.2 * RUN_S, allow_nan=False))
+#: Window lengths, zero-length windows included.
+fault_duration = st.one_of(
+    st.sampled_from((0.0, 1.0, 60.0, RUN_S)),
+    st.floats(min_value=0.0, max_value=RUN_S, allow_nan=False))
+
+
+def _windowed(event_type, **fields):
+    return st.builds(event_type, start_s=fault_start,
+                     duration_s=fault_duration, **fields)
+
+
+fault_event = st.one_of(
+    _windowed(UtilityBrownout, budget_fraction=st.one_of(
+        st.sampled_from((0.0, 1.0)),
+        st.floats(min_value=0.0, max_value=1.0))),
+    _windowed(UtilityOutage),
+    st.builds(BatteryCellAging, start_s=fault_start,
+              fade_fraction=st.floats(min_value=0.0, max_value=0.6),
+              resistance_growth=st.floats(min_value=1.0, max_value=3.0)),
+    _windowed(BatteryOpenCircuit),
+    st.builds(SupercapESRDrift, start_s=fault_start,
+              esr_multiplier=st.floats(min_value=1.0, max_value=4.0)),
+    _windowed(SupercapLeakage, leakage_w=st.one_of(
+        st.just(0.0), st.floats(min_value=0.0, max_value=200.0))),
+    _windowed(ConverterDropout),
+    _windowed(SensorNoise,
+              sigma_fraction=st.floats(min_value=0.0, max_value=0.5)),
+)
+
+fault_schedule = st.builds(
+    FaultSchedule,
+    events=st.lists(fault_event, min_size=1, max_size=6).map(tuple),
+    seed=st.integers(min_value=0, max_value=2**16))
+
+#: Every kind at once, with the edge cases the random storms may miss:
+#: events at t=0 and past the end, a zero-length window, zero leakage,
+#: brownouts to 0 and to 1, repeated aging and ESR steps, and a
+#: one-tick outage with dropout that sheds every server on a tick whose
+#: fault classes differ from the next tick's.
+KITCHEN_SINK = FaultSchedule.of(
+    UtilityBrownout(start_s=0.0, duration_s=90.0, budget_fraction=0.0),
+    UtilityBrownout(start_s=30.0, duration_s=200.0, budget_fraction=1.0),
+    UtilityBrownout(start_s=100.0, duration_s=0.0, budget_fraction=0.2),
+    UtilityOutage(start_s=150.0, duration_s=45.0),
+    BatteryCellAging(start_s=0.0, fade_fraction=0.2),
+    BatteryCellAging(start_s=120.0, fade_fraction=0.3,
+                     resistance_growth=2.5),
+    BatteryOpenCircuit(start_s=200.0, duration_s=30.0),
+    SupercapESRDrift(start_s=60.0, esr_multiplier=1.5),
+    SupercapESRDrift(start_s=61.0, esr_multiplier=3.0),
+    SupercapLeakage(start_s=0.0, duration_s=RUN_S, leakage_w=0.0),
+    SupercapLeakage(start_s=40.0, duration_s=250.0, leakage_w=80.0),
+    ConverterDropout(start_s=240.0, duration_s=20.0),
+    SensorNoise(start_s=50.0, duration_s=200.0, sigma_fraction=0.3),
+    UtilityOutage(start_s=300.0, duration_s=1.0),
+    ConverterDropout(start_s=300.0, duration_s=1.0),
+    UtilityOutage(start_s=2 * RUN_S, duration_s=60.0),
+    seed=5)
+
+
+def _fault_mix(schedules, seed, renewable_faults):
+    """All six policies under the given storms, plus one clean lane and
+    one renewable lane."""
+    requests = [
+        _request(scheme, WORKLOADS[(seed + i) % len(WORKLOADS)],
+                 seed=seed + i, faults=schedule)
+        for i, (scheme, schedule) in enumerate(zip(POLICY_NAMES,
+                                                   schedules))
+    ]
+    requests.append(_request("HEB-D", "TS", seed=seed + 10))
+    requests.append(_request("SCFirst", "WS", seed=seed + 11,
+                             renewable=True, faults=renewable_faults))
+    return requests
+
+
+def _assert_faulted_lanes_independent(requests, mixed):
+    """A faulted lane alone (beside one clean filler) equals its
+    result in the mix."""
+    filler = _request("BaFirst", "PR", seed=99)
+    for request, in_mix in zip(requests, mixed):
+        if request.faults is None:
+            continue
+        alone = _batched([request, filler])[0]
+        _assert_identical([alone], [in_mix])
+
+
+class TestFaultedLanes:
+    def test_kitchen_sink_storm_bit_exact(self):
+        requests = _fault_mix([KITCHEN_SINK] * len(POLICY_NAMES), 3,
+                              KITCHEN_SINK)
+        batched = _batched(requests)
+        _assert_identical(batched, [execute_request(r) for r in requests])
+        assert any(result.metrics.fault_downtime_s for result in batched)
+        _assert_faulted_lanes_independent(requests, batched)
+
+    @given(schedules=st.lists(fault_schedule, min_size=len(POLICY_NAMES),
+                              max_size=len(POLICY_NAMES)),
+           seed=st.integers(min_value=0, max_value=2**12),
+           renewable_faults=st.one_of(st.none(), fault_schedule))
+    @settings(max_examples=8, deadline=None)
+    def test_random_storms_bit_exact_and_lane_independent(
+            self, schedules, seed, renewable_faults):
+        requests = _fault_mix(schedules, seed, renewable_faults)
+        batched = _batched(requests)
+        _assert_identical(batched, [execute_request(r) for r in requests])
+        _assert_faulted_lanes_independent(requests, batched)
+
+    def test_exotic_charge_orders_under_storms_bit_exact(self):
+        """Charge orders outside the merged three-call schedule take the
+        generic per-order path, which must skip unreachable pools."""
+
+        class ExoticPolicy(Policy):
+            name = "Exotic"
+            PLANS = (
+                SlotPlan(r_lambda=0.5, charge_order=("sc", "battery", "sc")),
+                SlotPlan(r_lambda=0.2, charge_order=("battery", "sc",
+                                                     "battery"),
+                         fallback=False),
+                SlotPlan(r_lambda=0.8, charge_order=("battery", "battery"),
+                         use_sc=False),
+            )
+
+            def __init__(self, offset):
+                self.offset = offset
+
+            def begin_slot(self, observation):
+                return self.PLANS[(observation.index + self.offset)
+                                  % len(self.PLANS)]
+
+        requests = [
+            _request("HEB-D", workload, seed=40 + i, budget_w=200.0,
+                     faults=KITCHEN_SINK if i % 2 else None)
+            for i, workload in enumerate(("WC", "MS", "TS", "PR"))
+        ]
+
+        def build(offset_requests):
+            sims = []
+            for offset, request in offset_requests:
+                sim = build_simulation(request)
+                sim.policy = ExoticPolicy(offset)
+                sims.append(sim)
+            return sims
+
+        batched = BatchSimulation(build(enumerate(requests))).run_all()
+        scalar = [sim.run() for sim in build(enumerate(requests))]
+        _assert_identical(batched, scalar)
+
+    def test_golden_fault_fixtures_as_one_group(self):
+        """The three golden storms for every scheme run as one batched
+        group and still match their fixtures."""
+        requests, rows = [], []
+        for name in GOLDEN_FAULT_SCENARIOS:
+            golden = load_golden(name)
+            params = golden["params"]
+            schedule = schedule_from_dict(golden["schedule"])
+            for scheme, row in golden["rows"].items():
+                requests.append(RunRequest(
+                    scheme, params["workload"],
+                    setup=ExperimentSetup(duration_h=params["hours"],
+                                          seed=params["seed"]),
+                    faults=schedule))
+                rows.append((f"{name} {scheme}", row))
+        units, _ = plan_units(requests)
+        assert [kind for kind, _ in units] == ["group"]
+        runner = ExperimentRunner(jobs=1)
+        results = runner.map(requests)
+        assert runner.batched == len(requests)
+        for result, (label, row) in zip(results, rows):
+            metrics = result.metrics
+            for metric, expected in row.items():
+                actual = getattr(metrics, metric)
+                if metric != "fault_downtime_s" or expected is None:
+                    assert_close(actual, expected, f"{label}.{metric}")
+                    continue
+                assert actual is not None and set(actual) == set(expected)
+                for kind, seconds in expected.items():
+                    assert_close(actual[kind], seconds,
+                                 f"{label}.{metric}[{kind}]")
+
+
+# ----------------------------------------------------------------------
 # Degenerate shapes
 # ----------------------------------------------------------------------
 
@@ -180,7 +395,7 @@ def _mixed_requests():
     return [
         _request("HEB-D", "WC", seed=21),
         _request("BaFirst", "MS", seed=22),
-        # Scalar-only: fault injection never batches.
+        # Faulted: batches with the clean lanes of its grid.
         _request("SCFirst", "TS", seed=23, faults=faults),
         # Different slot grid: lands in its own (singleton) group.
         _request("HEB-S", "DA", seed=24,
@@ -190,14 +405,14 @@ def _mixed_requests():
 
 
 class TestBatchedRunner:
-    def test_planning_separates_faulted_and_incompatible(self):
+    def test_planning_groups_faulted_separates_incompatible(self):
         units, positions = plan_units(_mixed_requests())
         kinds = sorted(kind for kind, _ in units)
-        assert kinds == ["group", "single", "single"]
+        assert kinds == ["group", "single"]
         (group_positions,) = [
             pos for (kind, _), pos in zip(units, positions)
             if kind == "group"]
-        assert group_positions == [0, 1, 4]
+        assert group_positions == [0, 1, 2, 4]
 
     def test_runner_map_matches_scalar_per_request(self):
         requests = _mixed_requests()
