@@ -1,6 +1,6 @@
 """Measurement: how many lanes the batched engine needs to beat scalar.
 
-For random mixed groups of 2 to 48 lanes (any policy, any Table 1
+For random mixed groups of 1 to 48 lanes (any policy, any Table 1
 workload, distinct trace seeds) at 2-minute and 15-minute durations,
 this times ``execute_request_group`` (one ``BatchSimulation`` tick loop)
 against the same requests run one by one through ``execute_request``.
@@ -26,7 +26,7 @@ from repro.runner.request import (ExperimentSetup, RunRequest,
                                   build_simulation, execute_request)
 from repro.workloads import workload_names
 
-LANES = (2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
+LANES = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48)
 #: Timed repetitions per side and group; the median is reported.
 REPEATS = 3
 SEED = 13

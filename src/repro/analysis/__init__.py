@@ -10,19 +10,17 @@ codebase's three load-bearing conventions:
 * **exception hygiene** (RPR3xx) — raises stay inside the
   :class:`repro.errors.ReproError` contract, no broad ``except``.
 
-On top of the per-file rules, three *whole-program* passes (see
+On top of the per-file rules, four *whole-program* passes (see
 :mod:`repro.analysis.semantics`) analyze every scanned module at once:
 dimensional dataflow (RPR11x) infers physical units across assignments,
 returns, and call-site bindings; cache-purity taint (RPR21x) flags
-impurities reachable from the cache-feeding entry points; array
-semantics (RPR4xx) and the batch-readiness audit (RPR5xx) track NumPy
-shape, dtype, aliasing, and batchable-axis facts interprocedurally.
-Reports render as text, JSON, or SARIF 2.1.0
+impurities reachable from the cache-feeding entry points; twin parity
+(RPR6xx) keeps the batched engine classes in step with their scalar
+twins; concurrency safety (RPR7xx) guards the process pool and the
+service's event loop.  Reports render as text, JSON, or SARIF 2.1.0
 (:mod:`repro.analysis.sarif`) for GitHub code scanning.  Results are
 served incrementally from an on-disk cache keyed by content hashes
-(:mod:`repro.analysis.cache`), and a baseline ratchet
-(:mod:`repro.analysis.baseline`) lets legacy findings be adopted
-without blocking new code.
+(:mod:`repro.analysis.cache`).
 
 Suppress a finding in place with ``# repro: noqa[RPR102]`` (or a bare
 ``# repro: noqa`` for every rule on that line); on a multi-line simple
@@ -32,13 +30,6 @@ statement the marker covers the whole statement.  See
 
 from __future__ import annotations
 
-from .baseline import (
-    DEFAULT_BASELINE_FILE,
-    baseline_counts,
-    load_baseline,
-    new_findings,
-    write_baseline,
-)
 from .cache import AnalysisCache, analysis_fingerprint
 from .changed import changed_python_files
 from .engine import (
@@ -56,7 +47,6 @@ from .suppressions import collect_suppressions, expand_suppressions
 
 __all__ = [
     "AnalysisCache",
-    "DEFAULT_BASELINE_FILE",
     "PARSE_ERROR_RULE_ID",
     "Finding",
     "FileContext",
@@ -64,20 +54,16 @@ __all__ = [
     "Rule",
     "all_rules",
     "analysis_fingerprint",
-    "baseline_counts",
     "changed_python_files",
     "collect_suppressions",
     "expand_suppressions",
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "load_baseline",
-    "new_findings",
     "register",
     "render_json",
     "render_sarif",
     "render_text",
     "sarif_document",
     "resolve_rule_ids",
-    "write_baseline",
 ]

@@ -2,8 +2,7 @@
 
 Exit codes follow the usual linter convention:
 
-* 0 — no findings (or, with ``--baseline check``, none beyond the
-  recorded baseline),
+* 0 — no findings,
 * 1 — findings were reported,
 * 2 — usage error (unknown rule id, missing path, unreadable file,
   ``--changed`` outside a git repository).
@@ -12,17 +11,10 @@ Exit codes follow the usual linter convention:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import List, Optional, TextIO
 
 from ..errors import AnalysisError
-from .baseline import (
-    DEFAULT_BASELINE_FILE,
-    load_baseline,
-    new_findings,
-    write_baseline,
-)
 from .changed import changed_python_files
 from .engine import lint_paths
 from .reporter import render_json, render_text
@@ -61,14 +53,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="lint only files modified vs git merge-base HEAD "
              "origin/main (falls back to main)")
     parser.add_argument(
-        "--baseline", choices=("write", "check"), default=None,
-        help="write: accept current findings as the baseline; "
-             "check: fail only on findings not in the baseline")
-    parser.add_argument(
-        "--baseline-file", default=DEFAULT_BASELINE_FILE,
-        metavar="FILE",
-        help=f"baseline location (default: {DEFAULT_BASELINE_FILE})")
-    parser.add_argument(
         "--stats", action="store_true",
         help="append per-pass wall-time and per-family finding-count "
              "stats to text/json reports (ignored for sarif)")
@@ -99,7 +83,6 @@ def run_lint(args: argparse.Namespace,
     err = stderr if stderr is not None else sys.stderr
     if args.list_rules:
         return _list_rules(out)
-    baseline_mode = getattr(args, "baseline", None)
     try:
         paths = list(args.paths)
         if getattr(args, "changed", False):
@@ -115,19 +98,6 @@ def run_lint(args: argparse.Namespace,
             use_cache=not getattr(args, "no_cache", False),
             cache_dir=getattr(args, "cache_dir", None),
         )
-        if baseline_mode == "write":
-            written = write_baseline(args.baseline_file, report.findings)
-            out.write(f"baseline: recorded {written} fingerprint"
-                      f"{'s' if written != 1 else ''} "
-                      f"({len(report.findings)} finding"
-                      f"{'s' if len(report.findings) != 1 else ''}) "
-                      f"in {args.baseline_file}\n")
-            return 0
-        if baseline_mode == "check":
-            accepted = load_baseline(args.baseline_file)
-            report = dataclasses.replace(
-                report,
-                findings=tuple(new_findings(report.findings, accepted)))
     except AnalysisError as error:
         err.write(f"lint: error: {error}\n")
         return 2

@@ -31,14 +31,11 @@ SARIF_SCHEMA_URI = (
     "Schemata/sarif-schema-2.1.0.json"
 )
 
-#: Rule-family prefix -> SARIF ``level`` for its results.  The RPR5xx
-#: batch-readiness audit is advisory (``note``): it tracks ROADMAP
-#: work, not defects.  RPR703 (RNG/cache state duplicated across pool
-#: workers) is likewise advisory — both patterns can be intended.
-#: Everything else is a correctness convention and reports as
-#: ``warning``.
+#: Rule-family prefix -> SARIF ``level`` for its results.  RPR703
+#: (RNG/cache state duplicated across pool workers) is advisory
+#: (``note``): the pattern can be intended.  Everything else is a
+#: correctness convention and reports as ``warning``.
 _LEVEL_BY_PREFIX = {
-    "RPR5": "note",
     "RPR703": "note",
 }
 _DEFAULT_LEVEL = "warning"

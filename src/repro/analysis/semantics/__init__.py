@@ -5,7 +5,7 @@ time; this package builds a *project-wide* view — a symbol table over
 every scanned module plus a call graph resolving the common call shapes
 (module functions through imports, ``self.method()``, annotated
 parameters, ``ClassName(...)`` constructors, ``functools.partial``) —
-and runs two interprocedural passes on top of it:
+and runs four interprocedural passes on top of it:
 
 * **dimensional dataflow** (RPR11x, :mod:`.dimensions`) — infers a
   physical unit for every name from suffixes, ``repro.units`` helper
@@ -18,20 +18,10 @@ and runs two interprocedural passes on top of it:
   reachable path (clocks, unseeded RNGs, env/filesystem reads,
   unordered-set iteration, mutable module-global writes), wherever the
   function lives;
-* **array semantics** (RPR4xx/RPR5xx, :mod:`.arrays`) — an abstract
-  value per name tracking NumPy shape (symbolic dims), dtype,
-  view-vs-copy provenance, cache-aliasing taint, and batch-axis
-  exposure, flagging dtype narrowing, impossible broadcasts, mutations
-  of cache-aliased arrays, uninitialized ``np.empty`` reads, and the
-  batch-readiness debt ROADMAP item 2 must clear;
 * **twin parity** (RPR601/602, :mod:`.twins`) — checks the declared
   scalar↔batched class pairs (``Simulation``↔``BatchSimulation`` and
   friends) for public methods, attributes, and numeric constants with
   no batched counterpart or with drifted signatures/values;
-* **lane isolation** (RPR603/604, :mod:`.lanes`) — reuses the array
-  lattice's lane-axis facts to flag writes to lane-leading arrays that
-  skip the lane dimension, scalar state shared across per-lane replay
-  loops, and lane-axis reductions outside sanctioned points;
 * **concurrency safety** (RPR701–704, :mod:`.concurrency`) — finds the
   process-pool boundaries, closes over the worker-reachable functions,
   and flags unpicklable submissions, worker-side module-global writes,
@@ -46,10 +36,8 @@ selected.
 from __future__ import annotations
 
 from .analyzer import run_whole_program
-from .arrays import ArrayAnalysis, ArrayValue, run_array_pass
 from .callgraph import CallGraph, CallSite, build_call_graph
 from .concurrency import run_concurrency_pass
-from .lanes import run_lane_pass
 from .twins import TWIN_REGISTRY, TwinPair, run_twin_pass
 from .symbols import (
     ClassInfo,
@@ -62,8 +50,6 @@ from .symbols import (
 )
 
 __all__ = [
-    "ArrayAnalysis",
-    "ArrayValue",
     "CallGraph",
     "CallSite",
     "ClassInfo",
@@ -76,9 +62,7 @@ __all__ = [
     "build_call_graph",
     "build_project_index",
     "module_name_for_path",
-    "run_array_pass",
     "run_concurrency_pass",
-    "run_lane_pass",
     "run_twin_pass",
     "run_whole_program",
 ]

@@ -5,11 +5,6 @@ calls: it builds the project index and call graph once, runs whichever
 interprocedural passes the selected rule ids enable, and applies
 ``# repro: noqa`` suppressions (expanded to full statement extents) to
 the combined findings.
-
-The array lattice is shared: when both the RPR4xx/RPR5xx array pass and
-the RPR603/RPR604 lane-isolation pass are enabled, one
-:class:`~.arrays.ArrayAnalysis` is built and propagated once and both
-passes read the same fixpoint.
 """
 
 from __future__ import annotations
@@ -23,11 +18,9 @@ from ..suppressions import (
     expand_suppressions,
     is_suppressed,
 )
-from .arrays import ArrayAnalysis, run_array_pass
 from .callgraph import build_call_graph
 from .concurrency import run_concurrency_pass
 from .dimensions import run_dimensional_pass
-from .lanes import run_lane_pass
 from .purity import run_purity_pass
 from .symbols import SourceModule, build_project_index
 from .twins import run_twin_pass
@@ -35,9 +28,7 @@ from .twins import run_twin_pass
 #: Rule-id prefixes owned by each interprocedural pass.
 DIMENSION_PREFIX = "RPR11"
 PURITY_PREFIX = "RPR21"
-ARRAY_PREFIXES = ("RPR4", "RPR5")
 TWIN_IDS = frozenset({"RPR601", "RPR602"})
-LANE_IDS = frozenset({"RPR603", "RPR604"})
 CONCURRENCY_PREFIX = "RPR7"
 
 
@@ -58,11 +49,11 @@ def run_whole_program(modules: Sequence[SourceModule],
         modules: Every successfully-parsed module in the lint run; the
             passes see all of them at once (that is the point).
         enabled_ids: Selected rule ids; only the whole-program subsets
-            (RPR11x, RPR21x, RPR4xx/5xx, RPR6xx, RPR7xx) matter here,
-            the rest are ignored.
+            (RPR11x, RPR21x, RPR6xx, RPR7xx) matter here, the rest are
+            ignored.
         stats: When given, one :class:`PassStat` per executed pass
-            (plus the shared index/call-graph and array-lattice builds)
-            is appended, for ``lint --stats``.
+            (plus the shared index/call-graph build) is appended, for
+            ``lint --stats``.
 
     Returns:
         Suppression-filtered findings, in (path, line, col, id) order.
@@ -72,15 +63,11 @@ def run_whole_program(modules: Sequence[SourceModule],
                           for rule_id in enabled)
     want_purity = any(rule_id.startswith(PURITY_PREFIX)
                       for rule_id in enabled)
-    want_arrays = any(rule_id.startswith(ARRAY_PREFIXES)
-                      for rule_id in enabled)
     want_twins = bool(enabled & TWIN_IDS)
-    want_lanes = bool(enabled & LANE_IDS)
     want_concurrency = any(rule_id.startswith(CONCURRENCY_PREFIX)
                            for rule_id in enabled)
-    if not (want_dimensions or want_purity or want_arrays
-            or want_twins or want_lanes or want_concurrency) \
-            or not modules:
+    if not (want_dimensions or want_purity or want_twins
+            or want_concurrency) or not modules:
         return []
 
     # (index into ``stats``, ids of the findings the pass produced) so
@@ -91,13 +78,10 @@ def run_whole_program(modules: Sequence[SourceModule],
         start = time.perf_counter()
         result = runner()
         if stats is not None:
-            count = len(result) if isinstance(result, list) else 0
             stats.append(PassStat(name=name,
                                   seconds=time.perf_counter() - start,
-                                  findings=count))
-            if isinstance(result, list):
-                pass_findings.append(
-                    (len(stats) - 1, {id(f) for f in result}))
+                                  findings=len(result)))
+            pass_findings.append((len(stats) - 1, {id(f) for f in result}))
         return result
 
     start = time.perf_counter()
@@ -108,14 +92,6 @@ def run_whole_program(modules: Sequence[SourceModule],
                               seconds=time.perf_counter() - start,
                               findings=0))
 
-    shared_arrays: Optional[ArrayAnalysis] = None
-    if want_arrays or want_lanes:
-        def build_lattice() -> ArrayAnalysis:
-            analysis = ArrayAnalysis(index, graph)
-            analysis.propagate()
-            return analysis
-        shared_arrays = timed("array-lattice", build_lattice)
-
     findings: List[Finding] = []
     if want_dimensions:
         findings.extend(timed(
@@ -125,20 +101,10 @@ def run_whole_program(modules: Sequence[SourceModule],
         findings.extend(timed(
             "purity (RPR21x)",
             lambda: run_purity_pass(index, graph, enabled)))
-    if want_arrays:
-        findings.extend(timed(
-            "arrays (RPR4xx/5xx)",
-            lambda: run_array_pass(index, graph, enabled,
-                                   analysis=shared_arrays)))
     if want_twins:
         findings.extend(timed(
             "twin-parity (RPR601/602)",
             lambda: run_twin_pass(index, graph, enabled)))
-    if want_lanes:
-        findings.extend(timed(
-            "lane-isolation (RPR603/604)",
-            lambda: run_lane_pass(index, graph, enabled,
-                                  analysis=shared_arrays)))
     if want_concurrency:
         findings.extend(timed(
             "concurrency (RPR70x)",

@@ -130,10 +130,6 @@ class ClassInfo:
     #: annotated assignments), filled in by the index builder.
     attr_types: Dict[str, str] = field(default_factory=dict)
 
-    def is_dataclass_like(self) -> bool:
-        """Annotated fields and no explicit ``__init__``."""
-        return bool(self.fields) and "__init__" not in self.methods
-
 
 @dataclass
 class ModuleInfo:

@@ -176,7 +176,9 @@ class BatchScheduler:
 
         # Pool assembly in rank (descending-demand) order, matching the
         # scalar's buffered-order accumulation of each pool total.
-        ranks_taken = int(np.count_nonzero(  # repro: noqa[RPR604] cross-lane rank count only bounds the assembly loop; per-lane took_r masks keep lanes independent
+        # The cross-lane rank count only bounds the loop; the per-lane
+        # took_r masks keep lanes independent.
+        ranks_taken = int(np.count_nonzero(
             np.count_nonzero(took, axis=0)))
         for r in range(ranks_taken):
             took_r = took[:, r]

@@ -163,8 +163,9 @@ class LoadScheduler:
                 demands = np.array(demands_w, dtype=float)
             demands_list = demands.tolist()
             # Element-by-element sum in index order: bit-identical to the
-            # reference accumulation for any n (np.sum pairs terms).
-            total = sum(demands_list)  # repro: noqa[RPR502] bit-exact element-order accumulation; np.sum pairwise-reorders beyond 8 terms
+            # reference accumulation for any n (np.sum pairwise-reorders
+            # beyond 8 terms).
+            total = sum(demands_list)
             if total <= budget_w or not (use_sc or use_battery):
                 self.within_budget_hits += 1
                 cached = self._cached_within_budget
@@ -205,7 +206,7 @@ class LoadScheduler:
         # Move the hungriest servers off utility until within budget.
         buffered: List[int] = []
         utility_draw = total
-        for i in order:  # repro: noqa[RPR502] sequential greedy cutoff is the scalar oracle the batched engine will verify against
+        for i in order:
             if utility_draw <= budget_w:
                 break
             buffered.append(i)

@@ -145,12 +145,12 @@ class BatchCluster:
         candidates.sort(key=lambda sid: (last_row[sid], sid))
         shed: List[int] = []
         freed = 0.0
-        for sid in candidates:  # repro: noqa[RPR502] per-lane LRU shed replicates the scalar sequential accumulation
+        for sid in candidates:
             if freed >= power_needed_w - 1e-9:
                 break
             freed += float(demands_w[lane, sid])
-            state_row[sid] = STATE_OFF  # repro: noqa[RPR403] invalidated two lines down: any shed clears _all_on
-            source_row[sid] = SOURCE_NONE  # repro: noqa[RPR403] source backs no cache; _own_source() already copied the shared template
+            state_row[sid] = STATE_OFF
+            source_row[sid] = SOURCE_NONE
             shed.append(sid)
         if shed:
             self._all_on = False
@@ -169,16 +169,16 @@ class BatchCluster:
         source_row = self.source[lane]
         needed_list: List[float] = []
         budget = available_power_w
-        for sid in range(self.num_servers):  # repro: noqa[RPR502] per-lane restart scan replicates the scalar sequential budget deduction
+        for sid in range(self.num_servers):
             if state_row[sid] != STATE_OFF:
                 continue
             restart_power = (self.restart_draw_w
                              if self.restart_duration_s > 0 else 0.0)
             needed = max(restart_power, self.idle_power_w)
             if needed <= budget:
-                state_row[sid] = STATE_RESTARTING  # repro: noqa[RPR403] OFF->RESTARTING only; _all_on is already False while any server is OFF, and tick() refreshes on completion
-                source_row[sid] = SOURCE_UTILITY  # repro: noqa[RPR403] source backs no cache; _own_source() already copied the shared template
-                self.restart_count[lane, sid] += 1  # repro: noqa[RPR403] plain per-lane counter, not cache-backing state; nothing memoizes over it
+                state_row[sid] = STATE_RESTARTING
+                source_row[sid] = SOURCE_UTILITY
+                self.restart_count[lane, sid] += 1
                 self.restart_remaining_s[lane, sid] = self.restart_duration_s
                 budget -= needed
                 needed_list.append(needed)
@@ -234,7 +234,8 @@ class BatchCluster:
     def total_restart_energy_lane(self, lane: int) -> float:
         total = 0.0
         row = self.restart_energy_used_j[lane]
-        for sid in range(self.num_servers):  # repro: noqa[RPR502] index-order accumulation matches the scalar sum()
+        # Index-order accumulation matches the scalar sum().
+        for sid in range(self.num_servers):
             total += float(row[sid])
         return total
 

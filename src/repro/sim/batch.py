@@ -693,7 +693,8 @@ class BatchSimulation:
                                 lane, float(over[lane]), draws,
                                 (SOURCE_UTILITY,))
                             freed = 0.0
-                            for sid in shed_ids:  # repro: noqa[RPR502] shed-order re-sum matches the scalar engine
+                            # Shed-order re-sum matches the scalar engine.
+                            for sid in shed_ids:
                                 freed += float(draws[lane, sid])
                             utility_draw[lane] -= freed
                             unserved[lane] += freed
@@ -729,7 +730,9 @@ class BatchSimulation:
                                     restart_lanes).tolist():
                                 needed = cluster.restart_offline_lane(
                                     lane, float(headroom[lane]))
-                                for needed_w in needed:  # repro: noqa[RPR502] restart-order deduction matches the scalar engine
+                                # Restart-order deduction matches the
+                                # scalar engine.
+                                for needed_w in needed:
                                     headroom[lane] -= needed_w
                             # The scalar offers max(0, headroom) and
                             # charges nothing once it is <= eps.
@@ -897,7 +900,8 @@ class BatchSimulation:
             for lane in np.flatnonzero(short_mask).tolist():
                 shed_ids = cluster.shed_lru_lane(
                     lane, float(short[lane]), draws, (source,))
-                for sid in shed_ids:  # repro: noqa[RPR502] shed-order re-sum matches the scalar engine
+                # Shed-order re-sum matches the scalar engine.
+                for sid in shed_ids:
                     unserved[lane] += float(draws[lane, sid])
                 shed_events[lane] += len(shed_ids)
         return served, unserved, loss

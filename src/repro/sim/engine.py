@@ -290,7 +290,9 @@ class Simulation:
             if tick_totals is not None:
                 slot_demand.append(tick_totals[tick])
             else:
-                slot_demand.append(float(np.sum(np.ascontiguousarray(raw))))  # repro: noqa[RPR503] wide-cluster fallback keeps the historical per-tick summation order bit-exact
+                # Wide-cluster fallback: keeps the historical per-tick
+                # summation order bit-exact.
+                slot_demand.append(float(np.sum(np.ascontiguousarray(raw))))
             accumulator.record_tick(
                 dt=dt,
                 served_w=utility_draw + served_from_buffers,

@@ -96,7 +96,9 @@ def pow_lanes(base: np.ndarray, exponents: Sequence[float],
     out = np.zeros(base.shape[0])
     idx = np.flatnonzero(mask)
     values = base[idx].tolist()
-    out[idx] = [v ** exponents[i]  # repro: noqa[RPR502] per-element CPython pow: np.power's SIMD path is not bit-identical to the scalar models' `**`
+    # Per-element CPython pow: np.power's SIMD path is not bit-identical
+    # to the scalar models' `**`.
+    out[idx] = [v ** exponents[i]
                 for i, v in zip(idx.tolist(), values)]
     return out
 

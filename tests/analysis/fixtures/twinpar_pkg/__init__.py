@@ -1,8 +1,6 @@
-"""Adversarial twin-parity / lane-isolation package (RPR6xx).
+"""Adversarial twin-parity package (RPR6xx).
 
 Every defect is born in a different module than the one the finding
 lands in: the scalar classes (``cluster``, ``engine``) define the
-members and signatures the batch modules drift from, and the lane-axis
-facts the misuse modules violate are inferred from ``alloc_batch``'s
-return shape.
+members and signatures the batch modules drift from.
 """

@@ -145,7 +145,6 @@ def test_stats_flag_appends_pass_timing_table(capsys):
     assert out.startswith(plain.rstrip("\n"))
     assert "pass timings:" in out
     assert "twin-parity (RPR601/602)" in out
-    assert "lane-isolation (RPR603/604)" in out
     assert "index+callgraph" in out
     assert "findings by family:" in out
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import (
+    PARSE_ERROR_RULE_ID,
     Finding,
     LintReport,
     all_rules,
@@ -109,6 +110,24 @@ def test_noqa_on_compound_statement_stays_on_its_line():
     rules = [cls() for cls in all_rules().values()]
     findings = lint_source(source, "mod.py", rules)
     assert [f.rule_id for f in findings] == ["RPR102"]
+
+
+def test_every_noqa_marker_in_the_tree_names_a_known_rule():
+    """A marker for a retired or misspelt id suppresses nothing, and
+    ``collect_suppressions`` accepts any id, so check them all here."""
+    repo = Path(__file__).resolve().parents[2]
+    fixtures = FIXTURES.resolve()
+    known = set(all_rules()) | {PARSE_ERROR_RULE_ID} | ALL_RULES
+    dead = []
+    for root in ("src", "benchmarks", "tests"):
+        for path in iter_python_files([str(repo / root)]):
+            if fixtures in path.parents:
+                continue
+            source = path.read_text(encoding="utf-8")
+            for line, ids in collect_suppressions(source).items():
+                dead.extend(f"{path}:{line}: {rule_id}"
+                            for rule_id in sorted(ids - known))
+    assert not dead, dead
 
 
 # ----------------------------------------------------------------------

@@ -32,17 +32,8 @@ RULE_FIXTURES = {
     "RPR213": ("rpr213_fail.py", "rpr213_clean.py"),
     "RPR301": ("rpr301_fail.py", "rpr301_clean.py"),
     "RPR302": ("rpr302_fail.py", "rpr302_clean.py"),
-    "RPR401": ("rpr401_storage_fail.py", "rpr401_storage_clean.py"),
-    "RPR402": ("rpr402_fail.py", "rpr402_clean.py"),
-    "RPR403": ("rpr403_fail.py", "rpr403_clean.py"),
-    "RPR404": ("rpr404_fail.py", "rpr404_clean.py"),
-    "RPR501": ("rpr501_fail.py", "rpr501_clean.py"),
-    "RPR502": ("rpr502_engine_fail.py", "rpr502_engine_clean.py"),
-    "RPR503": ("rpr503_engine_fail.py", "rpr503_engine_clean.py"),
     "RPR601": ("rpr601_fail.py", "rpr601_clean.py"),
     "RPR602": ("rpr602_fail.py", "rpr602_clean.py"),
-    "RPR603": ("rpr603_batch_fail.py", "rpr603_batch_clean.py"),
-    "RPR604": ("rpr604_batch_fail.py", "rpr604_batch_clean.py"),
     "RPR701": ("rpr701_fail.py", "rpr701_clean.py"),
     "RPR702": ("rpr702_fail.py", "rpr702_clean.py"),
     "RPR703": ("rpr703_fail.py", "rpr703_clean.py"),
@@ -69,17 +60,8 @@ EXPECTED_FAIL_COUNTS = {
     "RPR213": 2,   # reachable global rebind + reachable dict store
     "RPR301": 2,   # except Exception + bare except
     "RPR302": 2,   # RuntimeError + custom non-ReproError subclass
-    "RPR401": 2,   # mixed float32/float64 binop + astype narrowing
-    "RPR402": 2,   # literal 4-vs-5 operator + symbolic np.add conflict
-    "RPR403": 3,   # subscript store + augassign alias + out= kwarg
-    "RPR404": 2,   # read with no store + partial single-element fill
-    "RPR501": 2,   # axis=0 reduction + literal [0] index
-    "RPR502": 3,   # for loop + builtin sum + builtin max
-    "RPR503": 3,   # float(reduction) + .item() + float(whole array)
     "RPR601": 2,   # missing snapshot_state + missing total_energy_j twin
     "RPR602": 2,   # dropped scalar parameter + drifted literal default
-    "RPR603": 2,   # literal lane index + non-lane name index
-    "RPR604": 2,   # shared scalar in lane loop + axis-0 lane fold
     "RPR701": 2,   # lambda + nested def submitted to the pool
     "RPR702": 2,   # global rebind + dict store in a worker
     "RPR703": 2,   # shared module RNG draw + lru_cache on a worker fn

@@ -1,14 +1,11 @@
-"""Acceptance tests for twin-parity and lane-isolation (RPR601-RPR604).
+"""Acceptance tests for twin parity (RPR601/RPR602).
 
-``twinpar_pkg`` plants six defects that each straddle a module
+``twinpar_pkg`` plants three defects that each straddle a module
 boundary: the scalar contract a batch twin violates lives in
 ``cluster.py``/``engine.py`` while the findings anchor in the batch
-modules, and the lane-leading shape the misuse modules violate is born
-in ``alloc_batch.make_state`` and travels through a return value, an
-attribute, and a call-site parameter binding before being abused.  The
-tests pin the exact finding set, prove the cross-module findings
-vanish when modules lint alone, and cover the incremental-cache
-contract for the new families.
+modules.  The tests pin the exact finding set, prove the cross-module
+findings vanish when modules lint alone, and cover the
+incremental-cache contract for the family.
 """
 
 from __future__ import annotations
@@ -31,10 +28,6 @@ EXPECTED = {
     "RPR601": [("batch_cluster.py", 10), ("batch_cluster.py", 10)],
     # BatchSimulation.step dropped the scalar demand_w parameter
     "RPR602": [("engine_batch.py", 11)],
-    # deliberately lane-coupled write: lane axis indexed with a server id
-    "RPR603": [("replay_batch.py", 14)],
-    # shared scalar in a per-lane loop + lane-axis fold outside write_back
-    "RPR604": [("fold_batch.py", 7), ("replay_batch.py", 18)],
 }
 
 
@@ -87,28 +80,15 @@ def test_missing_method_finding_names_accepted_spellings(report):
 
 
 def test_cross_module_facts_vanish_when_modules_lint_alone():
-    """Severing the package kills the twin pairing (scalar and batch
-    class are never co-resident) and the lane-shape flow (make_state's
-    return shape never reaches the misuse sites).  Only the
-    name-seeded shared-scalar hit in ``replay_batch`` survives: a
-    ``for lane in range(self.n)`` loop is a lane loop by naming
-    convention alone."""
-    alone: set = set()
+    """Severing the package kills the twin pairing: scalar and batch
+    class are never co-resident, so no module alone yields a finding."""
     for path in _pkg_files():
         single = lint_paths([path], select=TWIN_FAMILIES)
-        alone.update(f.rule_id for f in single.findings)
-    assert alone.isdisjoint({"RPR601", "RPR602", "RPR603"})
-    assert alone <= {"RPR604"}
-
-
-def test_clean_lane_access_contributes_nothing(report):
-    lines = {(Path(f.path).name, f.line) for f in report.findings}
-    expected = {pair for pairs in EXPECTED.values() for pair in pairs}
-    assert lines == expected
+        assert not single.findings, path
 
 
 # ----------------------------------------------------------------------
-# Incremental-cache contract for the new families
+# Incremental-cache contract for the family
 # ----------------------------------------------------------------------
 
 def test_warm_relint_serves_twin_findings_from_cache():

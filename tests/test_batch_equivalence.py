@@ -8,12 +8,15 @@ the whole stack to that contract:
 
 * every shipped policy, across mixed workloads and sizings, under both
   utility budgets and renewable supplies;
+* fault-free lanes that shed and restart servers, each lane also
+  checked to give the same result alone as in the mix (lane
+  independence);
 * hypothesis-driven random scenario sets (schemes, workloads, seeds,
   budgets, SC fractions mixed freely within one batch);
 * fault-injected lanes: random storms over all eight fault kinds mixed
-  with clean and renewable lanes, each faulted lane also checked to
-  give the same result alone as in the mix (lane independence), and
-  the golden fault fixtures run as one batched group;
+  with clean and renewable lanes, each lane also checked to give the
+  same result alone as in the mix (lane independence), and the golden
+  fault fixtures run as one batched group;
 * the batched runner path: grouping (faulted requests included),
   cache-key/hit accounting, and cache interchangeability between the
   batched and scalar paths;
@@ -98,6 +101,15 @@ def _assert_identical(batched, scalar):
                 f"  batched: {got_value!r}\n  scalar:  {want_value!r}")
 
 
+def _assert_lanes_independent(requests, mixed):
+    """Each lane alone (beside one clean filler) equals its result in
+    the mix."""
+    filler = _request("BaFirst", "PR", seed=99)
+    for request, in_mix in zip(requests, mixed):
+        alone = _batched([request, filler])[0]
+        _assert_identical([alone], [in_mix])
+
+
 # ----------------------------------------------------------------------
 # Exhaustive policy / workload coverage
 # ----------------------------------------------------------------------
@@ -142,6 +154,23 @@ class TestPolicyCoverage:
         ]
         _assert_identical(_batched(requests),
                           [execute_request(r) for r in requests])
+
+
+class TestCleanLanes:
+    def test_shed_and_restart_lanes_bit_exact_and_independent(self):
+        """A tight budget on tiny buffers sheds servers without any
+        fault, and restarts them on lanes other than 0: the per-lane
+        shed and restart paths must touch only their own lane."""
+        requests = [
+            _request("BaOnly" if i % 2 else "HEB-D", workload,
+                     budget_w=200.0, total_energy_wh=5.0)
+            for i, workload in enumerate(WORKLOADS)
+        ]
+        batched = _batched(requests)
+        _assert_identical(batched, [execute_request(r) for r in requests])
+        _assert_lanes_independent(requests, batched)
+        assert any(result.metrics.total_restarts > 0
+                   for result in batched[1:])
 
 
 # ----------------------------------------------------------------------
@@ -261,17 +290,6 @@ def _fault_mix(schedules, seed, renewable_faults):
     return requests
 
 
-def _assert_faulted_lanes_independent(requests, mixed):
-    """A faulted lane alone (beside one clean filler) equals its
-    result in the mix."""
-    filler = _request("BaFirst", "PR", seed=99)
-    for request, in_mix in zip(requests, mixed):
-        if request.faults is None:
-            continue
-        alone = _batched([request, filler])[0]
-        _assert_identical([alone], [in_mix])
-
-
 class TestFaultedLanes:
     def test_kitchen_sink_storm_bit_exact(self):
         requests = _fault_mix([KITCHEN_SINK] * len(POLICY_NAMES), 3,
@@ -279,7 +297,7 @@ class TestFaultedLanes:
         batched = _batched(requests)
         _assert_identical(batched, [execute_request(r) for r in requests])
         assert any(result.metrics.fault_downtime_s for result in batched)
-        _assert_faulted_lanes_independent(requests, batched)
+        _assert_lanes_independent(requests, batched)
 
     @given(schedules=st.lists(fault_schedule, min_size=len(POLICY_NAMES),
                               max_size=len(POLICY_NAMES)),
@@ -291,7 +309,7 @@ class TestFaultedLanes:
         requests = _fault_mix(schedules, seed, renewable_faults)
         batched = _batched(requests)
         _assert_identical(batched, [execute_request(r) for r in requests])
-        _assert_faulted_lanes_independent(requests, batched)
+        _assert_lanes_independent(requests, batched)
 
     def test_exotic_charge_orders_under_storms_bit_exact(self):
         """Charge orders outside the merged three-call schedule take the
