@@ -1,8 +1,9 @@
 """Incremental on-disk cache for lint results.
 
-Mirrors the runner's result cache (:mod:`repro.runner.cache`): sharded
-``<dir>/<key[:2]>/<key>.json`` layout, atomic tempfile+rename writes,
-corrupt entries read as misses.  Two entry kinds share the store:
+One JSON file per entry, ``<dir>/<key[:2]>/<key>.json``, sharded by the
+first key byte so no directory grows huge.  Writes are atomic
+(tempfile + rename), and corrupt entries read as misses.  Two entry
+kinds share the store:
 
 * **per-file** — findings of the per-file rules for one module, keyed by
   SHA-256 of (analysis-code fingerprint, selected per-file rule ids,

@@ -86,6 +86,10 @@ class ExperimentRunner:
         (atomic cache writes, bit-identical bytes, last writer wins)
         and is closed in-process by the scenario service's in-flight
         registry (:mod:`repro.service.queue`).
+
+        Every computed miss is written to the cache in one transaction
+        (:meth:`~repro.runner.cache.ResultCache.put_many`) once the call
+        has run them all.
         """
         requests = list(requests)
         results: List[Optional[RunResult]] = [None] * len(requests)
@@ -141,10 +145,11 @@ class ExperimentRunner:
                 computed = [execute_request(request) for request in pending]
             for index, result in zip(miss_indices, computed):
                 results[index] = result
-                if self.cache is not None:
-                    self.cache.put(keys[index], result)
                 for duplicate in followers.get(index, ()):
                     results[duplicate] = result
+            if self.cache is not None:
+                self.cache.put_many([(keys[index], results[index])
+                                     for index in miss_indices])
 
         return results  # type: ignore[return-value]
 

@@ -92,15 +92,34 @@ class RunResult:
 # Serialization
 # ----------------------------------------------------------------------
 
+#: Field names of the serialized records, in declaration order.  Every
+#: field is a scalar except ``RunMetrics.fault_downtime_s``, so a shallow
+#: copy plus a copy of that one dict equals ``dataclasses.asdict``.
+_METRICS_FIELDS = tuple(f.name for f in dataclasses.fields(RunMetrics))
+_LIFETIME_FIELDS = tuple(f.name for f in dataclasses.fields(LifetimeReport))
+_SLOT_FIELDS = tuple(f.name for f in dataclasses.fields(SlotRecord))
+
+
+def _fields_to_dict(record: Any, names: Tuple[str, ...]) -> Dict[str, Any]:
+    return {name: getattr(record, name) for name in names}
+
+
 def result_to_dict(result: RunResult) -> Dict[str, Any]:
-    """Serialize one :class:`RunResult` to JSON-compatible types."""
+    """Serialize one :class:`RunResult` to JSON-compatible types.
+
+    The returned dict shares no mutable object with ``result``.
+    """
+    metrics = _fields_to_dict(result.metrics, _METRICS_FIELDS)
+    if metrics["fault_downtime_s"] is not None:
+        metrics["fault_downtime_s"] = dict(metrics["fault_downtime_s"])
     return {
         "format": RESULT_FORMAT_VERSION,
         "scheme": result.scheme,
         "workload": result.workload,
-        "metrics": dataclasses.asdict(result.metrics),
-        "lifetime": dataclasses.asdict(result.lifetime),
-        "slots": [dataclasses.asdict(slot) for slot in result.slots],
+        "metrics": metrics,
+        "lifetime": _fields_to_dict(result.lifetime, _LIFETIME_FIELDS),
+        "slots": [_fields_to_dict(slot, _SLOT_FIELDS)
+                  for slot in result.slots],
     }
 
 

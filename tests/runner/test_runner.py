@@ -78,6 +78,18 @@ class TestCachingRunner:
         assert [(r.scheme, r.workload) for r in results] == [
             (request.scheme, request.workload) for request in GRID[:4]]
 
+    def test_pool_with_cache_cold_then_warm(self, tmp_path):
+        """The pool forks after the cache has opened its database; the
+        parent writes every miss and a warm rerun answers from it."""
+        serial = ExperimentRunner(jobs=1).map(GRID)
+        cache = ResultCache(tmp_path)
+        cold = ExperimentRunner(jobs=2, cache=cache)
+        assert cold.map(GRID) == serial
+        assert cold.misses == len(GRID) and cold.hits == 0
+        warm = ExperimentRunner(jobs=2, cache=cache)
+        assert warm.map(GRID) == serial
+        assert warm.hits == len(GRID) and warm.misses == 0
+
     def test_cacheless_counts_every_run_as_miss(self):
         runner = ExperimentRunner(jobs=1)
         runner.map(GRID[:2])

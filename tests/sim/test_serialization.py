@@ -6,6 +6,7 @@ the last float bit, and the cache key must be identical no matter which
 process computes it (workers hash requests independently of the parent).
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from repro import quick_run
+from repro.faults import schedule_from_dict
 from repro.runner import ExperimentSetup, RunRequest, cache_key, execute_request
 from repro.sim import (
     RESULT_FORMAT_VERSION,
@@ -27,6 +30,8 @@ from repro.sim import (
 from repro.sim.results import RunResult, SlotRecord
 
 FAST = ExperimentSetup(duration_h=0.2)
+
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "faults" / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +83,43 @@ class TestDictRoundTrip:
     def test_method_aliases(self, sample_result):
         clone = RunResult.from_dict(sample_result.to_dict())
         assert clone.to_dict() == sample_result.to_dict()
+
+
+@pytest.fixture(scope="module")
+def faulted_result():
+    """The brownout golden case, whose BaOnly row attributes downtime."""
+    golden = json.loads((GOLDEN_DIR / "brownout.json").read_text())
+    return quick_run("BaOnly", faults=schedule_from_dict(golden["schedule"]),
+                     **golden["params"])
+
+
+def asdict_reference(result):
+    """The serialization ``result_to_dict`` replaced, kept as an oracle."""
+    return {
+        "format": RESULT_FORMAT_VERSION,
+        "scheme": result.scheme,
+        "workload": result.workload,
+        "metrics": dataclasses.asdict(result.metrics),
+        "lifetime": dataclasses.asdict(result.lifetime),
+        "slots": [dataclasses.asdict(slot) for slot in result.slots],
+    }
+
+
+class TestDictMatchesAsdict:
+    @pytest.mark.parametrize("name", ["sample_result", "renewable_result",
+                                      "faulted_result"])
+    def test_equals_the_asdict_reference(self, name, request):
+        result = request.getfixturevalue(name)
+        assert result_to_dict(result) == asdict_reference(result)
+
+    def test_mutating_the_dict_leaves_the_result(self, faulted_result):
+        before = asdict_reference(faulted_result)
+        payload = result_to_dict(faulted_result)
+        payload["metrics"]["fault_downtime_s"]["brownout"] = -1.0
+        payload["metrics"]["server_downtime_s"] = -1.0
+        payload["lifetime"]["raw_throughput_ah"] = -1.0
+        payload["slots"][0]["note"] = "mutated"
+        assert asdict_reference(faulted_result) == before
 
 
 class TestJsonLines:
