@@ -53,10 +53,10 @@ class BatchCompatibilityError(SimulationError):
     """A scenario set cannot share one batched tick loop.
 
     Raised by :class:`~repro.sim.batch.BatchSimulation` when scenarios
-    disagree on the tick grid, slot grid, or cluster shape, or use
-    features (fault injection, profiling, device banks) the batched
-    path does not carry.  The runner catches this and falls back to
-    per-scenario scalar runs.
+    disagree on the tick grid, slot grid, or cluster shape, or carry a
+    tick profiler, which only the scalar engine takes.  The runner does
+    not catch it: its groups always pass these checks, so a rejection
+    surfaces as an error instead of a switch to the scalar engine.
     """
 
 

@@ -42,16 +42,12 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from ..core.policies.base import SlotObservation
 from ..errors import SimulationError
-from ..storage.bank import DeviceBank
-from ..storage.battery import LeadAcidBattery
-from ..storage.device import EnergyStorageDevice
-from ..storage.supercap import Supercapacitor
 from .events import (
     BASELINE_CLASS,
     BatteryCellAging,
@@ -66,19 +62,6 @@ from .events import (
     WindowedFault,
 )
 from .schedule import FaultSchedule
-
-
-def _leaf_devices(device: Optional[EnergyStorageDevice]
-                  ) -> List[EnergyStorageDevice]:
-    """Flatten a pool (single device or relay-connected bank) to leaves."""
-    if device is None:
-        return []
-    if isinstance(device, DeviceBank):
-        leaves: List[EnergyStorageDevice] = []
-        for member in device.devices:
-            leaves.extend(_leaf_devices(member))
-        return leaves
-    return [device]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -245,14 +228,11 @@ class FaultInjector:
                 self._fade_applied = (
                     self._fade_applied
                     + event.fade_fraction * (1.0 - self._fade_applied))
-                for device in _leaf_devices(buffers.battery):
-                    if isinstance(device, LeadAcidBattery):
-                        device.apply_aging(self._fade_applied,
-                                           event.resistance_growth)
+                buffers.battery.apply_aging(self._fade_applied,
+                                            event.resistance_growth)
             elif isinstance(event, SupercapESRDrift):
-                for device in _leaf_devices(buffers.sc):
-                    if isinstance(device, Supercapacitor):
-                        device.apply_esr_drift(event.esr_multiplier)
+                if buffers.sc is not None:
+                    buffers.sc.apply_esr_drift(event.esr_multiplier)
 
     def begin_tick(self, now_s: float, dt: float, buffers) -> None:
         """Advance the fault state to ``now_s`` and act on the buffers.
@@ -268,10 +248,8 @@ class FaultInjector:
         if due:
             self.apply_steps(due, buffers)
         leakage_w = self._state.leakage_w
-        if leakage_w > 0.0:
-            for device in _leaf_devices(buffers.sc):
-                if isinstance(device, Supercapacitor):
-                    device.apply_leakage(leakage_w, dt)
+        if leakage_w > 0.0 and buffers.sc is not None:
+            buffers.sc.apply_leakage(leakage_w, dt)
 
     # ------------------------------------------------------------------
     # Per-tick queries (valid until the next begin_tick)

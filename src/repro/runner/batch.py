@@ -8,10 +8,10 @@ loops:
 
 * requests group by (duration, slot length) — the tick/slot grid the
   batched engine requires scenarios to share; fault-injected requests
-  group like any other (each lane carries its own injector);
-* a group that still fails the engine's own compatibility validation
-  (device banks, wide clusters, ...) falls back to per-request scalar
-  execution inside the worker;
+  group like any other (each lane carries its own injector).  The rest
+  of the engine's compatibility check (tick length, cluster width,
+  server configuration, no profiler) holds for every request, so a
+  group it rejects raises instead of switching engines;
 * singleton groups run the plain scalar path — batching is a grouping
   optimization, never a behaviour change.
 
@@ -33,7 +33,6 @@ import math
 from typing import Dict, List, Sequence, Tuple
 
 from ..config import ControllerConfig
-from ..errors import BatchCompatibilityError
 from ..sim import RunResult
 from ..sim.batch import BatchSimulation
 from .request import RunRequest, build_simulation, execute_request
@@ -94,16 +93,13 @@ def execute_request_group(requests: Sequence[RunRequest]
                           ) -> List[RunResult]:
     """Execute a compatible group through one batched tick loop.
 
-    Falls back to per-request scalar execution when the batched engine
-    rejects the group; either way results align with ``requests`` and
-    are exactly what :func:`execute_request` would have produced.
+    Results align with ``requests`` and are exactly what
+    :func:`execute_request` would have produced.  A group the batched
+    engine rejects raises
+    :class:`~repro.errors.BatchCompatibilityError`.
     """
-    try:
-        batch = BatchSimulation([build_simulation(request)
-                                 for request in requests])
-    except BatchCompatibilityError:
-        return [execute_request(request) for request in requests]
-    return batch.run_all()
+    return BatchSimulation([build_simulation(request)
+                            for request in requests]).run_all()
 
 
 def execute_unit(unit: ExecutionUnit) -> List[RunResult]:

@@ -38,11 +38,12 @@ traces a chunk of ticks at a time, and a slot close re-reads the slot's
 demand totals from the traces.
 
 Scenario sets must share the tick grid (trace length, ``dt``, slot
-length) and the cluster shape; anything else — budgets, converter
-efficiencies, policies, workloads, buffer sizings, supplies, fault
-schedules — may vary per lane.  Incompatible sets raise
+length) and the cluster shape, at any cluster width; anything else —
+budgets, converter efficiencies, policies, workloads, buffer sizings,
+supplies, fault schedules — may vary per lane.  Incompatible sets, and
+sets carrying a tick profiler, raise
 :class:`~repro.errors.BatchCompatibilityError`, which the batched
-runner treats as "fall back to scalar".
+runner does not catch: a group that cannot share one loop fails loudly.
 """
 
 from __future__ import annotations
@@ -60,18 +61,10 @@ from ..server.batch import (SOURCE_SUPERCAP, SOURCE_UTILITY, BatchCluster,
                             SOURCE_BATTERY)
 from ..storage.batch import (BatchBattery, BatchLifetime, BatchSupercap,
                              max0)
-from ..storage.battery import LeadAcidBattery
-from ..storage.supercap import Supercapacitor
 from .buffers import HybridBuffers
 from .engine import Simulation, _CALENDAR_LIFE_YEARS, _EPSILON
 from .metrics import MetricsAccumulator, finalize_metrics
 from .results import RunResult, SlotRecord
-
-#: Widest cluster the batched path accepts: the per-tick demand totals
-#: rely on ``np.add.reduce`` staying sequential, which numpy guarantees
-#: only below its pairwise-summation threshold (the scalar engine keys
-#: the same fast path on this width).
-_MAX_BATCH_SERVERS = 8
 
 #: Charge orders the merged three-call schedule can interleave without
 #: per-group calls: every shipped policy emits one of these.  Any other
@@ -352,22 +345,10 @@ def _check_compatible(sims: Sequence[Simulation]) -> None:
     slot_ticks = max(1, int(round(first.controller_config.slot_seconds / dt)))
     num_servers = first.cluster_config.num_servers
     server_config = first.cluster_config.server
-    if num_servers > _MAX_BATCH_SERVERS:
-        raise BatchCompatibilityError(
-            f"batched path supports at most {_MAX_BATCH_SERVERS} servers, "
-            f"got {num_servers}")
     for index, sim in enumerate(sims):
         if sim.profiler is not None:
             raise BatchCompatibilityError(
                 f"scenario {index}: tick profiling requires the scalar path")
-        if not isinstance(sim.buffers.battery, LeadAcidBattery):
-            raise BatchCompatibilityError(
-                f"scenario {index}: battery pool is not a single "
-                "LeadAcidBattery")
-        if sim.buffers.sc is not None and not isinstance(
-                sim.buffers.sc, Supercapacitor):
-            raise BatchCompatibilityError(
-                f"scenario {index}: SC pool is not a single Supercapacitor")
         if abs(sim.sim_config.tick_seconds - dt) > 1e-12:
             raise BatchCompatibilityError(
                 f"scenario {index}: tick length differs")

@@ -12,7 +12,6 @@ from typing import Optional
 
 from ..config import HybridBufferConfig
 from ..errors import ConfigurationError, SimulationError
-from ..storage.bank import DeviceBank
 from ..storage.battery import LeadAcidBattery
 from ..storage.device import EnergyStorageDevice, FlowResult
 from ..storage.lifetime import AhThroughputLifetimeModel, LifetimeReport
@@ -34,55 +33,31 @@ class HybridBuffers:
     def __init__(self, config: HybridBufferConfig,
                  include_sc: bool = True,
                  battery_dod: Optional[float] = None,
-                 sc_dod: Optional[float] = None,
-                 battery_modules: int = 1,
-                 sc_modules: int = 1) -> None:
+                 sc_dod: Optional[float] = None) -> None:
         self.config = config
         self.include_sc = include_sc and config.sc_fraction > 0.0
-        if battery_modules < 1 or sc_modules < 1:
-            raise ConfigurationError("module counts must be >= 1")
 
         if self.include_sc:
-            sc_energy = config.sc_energy_j
             battery_energy = config.battery_energy_j
         else:
-            sc_energy = 0.0
             battery_energy = config.total_energy_j
         if battery_energy <= 0:
             raise ConfigurationError("battery pool must hold some energy")
 
-        # The prototype cabinet holds "small and large batteries/SCs
-        # connected by relays"; module counts > 1 model the pool as a
-        # relay-connected DeviceBank of identical strings/modules.
-        battery_config = config.battery.scaled_to_energy(
-            battery_energy / battery_modules)
-        if battery_modules == 1:
-            self.battery: EnergyStorageDevice = LeadAcidBattery(
-                battery_config, name="battery-pool")
-        else:
-            self.battery = DeviceBank(
-                [LeadAcidBattery(battery_config, name=f"battery-{i}")
-                 for i in range(battery_modules)], name="battery-pool")
-        self.sc: Optional[EnergyStorageDevice] = None
+        battery_config = config.battery.scaled_to_energy(battery_energy)
+        self.battery = LeadAcidBattery(battery_config, name="battery-pool")
+        self.sc: Optional[Supercapacitor] = None
         if self.include_sc:
-            sc_config = config.supercap.scaled_to_energy(
-                sc_energy / sc_modules)
-            if sc_modules == 1:
-                self.sc = Supercapacitor(sc_config, name="sc-pool")
-            else:
-                self.sc = DeviceBank(
-                    [Supercapacitor(sc_config, name=f"sc-{i}")
-                     for i in range(sc_modules)], name="sc-pool")
+            self.sc = Supercapacitor(
+                config.supercap.scaled_to_energy(config.sc_energy_j),
+                name="sc-pool")
 
         if battery_dod is not None:
             self.battery.set_depth_of_discharge(battery_dod)
         if sc_dod is not None and self.sc is not None:
             self.sc.set_depth_of_discharge(sc_dod)
 
-        # The lifetime model tracks the aggregate pool; for banks, it is
-        # parameterized by the pool-equivalent single string.
-        pool_equivalent = config.battery.scaled_to_energy(battery_energy)
-        self.lifetime = AhThroughputLifetimeModel(pool_equivalent)
+        self.lifetime = AhThroughputLifetimeModel(battery_config)
         self._sc_touched = False
         self._battery_touched = False
         self.initial_stored_j = self.total_stored_j

@@ -153,18 +153,10 @@ class Simulation:
         last_downtime_s = 0.0
 
         # Per-tick cluster demand totals, computed in one vectorized pass.
-        # An axis-0 reduce accumulates rows sequentially, which matches
-        # np.sum over a per-tick column exactly for <= 8 servers (numpy's
-        # pairwise summation only reorders beyond 8 terms); wider
-        # clusters keep the historical per-tick reduction.
-        if values.shape[0] <= 8:
-            # axis=-2 is the server axis of the (servers, ticks) trace;
-            # counting from the end keeps it the server axis when a
-            # leading scenario-batch axis lands (ROADMAP item 2).
-            tick_totals: Optional[List[float]] = (
-                np.add.reduce(values, axis=-2).tolist())
-        else:
-            tick_totals = None
+        # A reduce over the outer server axis (axis=-2 of the (servers,
+        # ticks) trace) adds the rows in server-index order at any
+        # width; the batched engine sums in the same order.
+        tick_totals: List[float] = np.add.reduce(values, axis=-2).tolist()
 
         # The relay plan is re-applied only when it (or any server state)
         # changed since the last apply; SwitchFabric counts transitions,
@@ -287,12 +279,7 @@ class Simulation:
                 injector.attribute_downtime(downtime_total - last_downtime_s)
                 last_downtime_s = downtime_total
             ipdu.record_array(now, draws, dt)
-            if tick_totals is not None:
-                slot_demand.append(tick_totals[tick])
-            else:
-                # Wide-cluster fallback: keeps the historical per-tick
-                # summation order bit-exact.
-                slot_demand.append(float(np.sum(np.ascontiguousarray(raw))))
+            slot_demand.append(tick_totals[tick])
             accumulator.record_tick(
                 dt=dt,
                 served_w=utility_draw + served_from_buffers,
@@ -325,16 +312,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # Tick helpers
     # ------------------------------------------------------------------
-
-    def _budget_at(self, tick: int) -> float:
-        if self.supply is not None:
-            return self.supply[tick]
-        return self.cluster_config.utility_budget_w
-
-    def _generation_at(self, tick: int) -> float:
-        if self.supply is not None:
-            return self.supply[tick]
-        return 0.0
 
     def _actuate_relays(self, sources: Tuple[PowerSource, ...]) -> None:
         positions = []

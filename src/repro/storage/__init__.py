@@ -1,9 +1,9 @@
-"""Energy-storage substrate: batteries, supercapacitors, banks, lifetime.
+"""Energy-storage substrate: batteries, supercapacitors, lifetime.
 
 This package implements the physical layer the paper's prototype provides
-in hardware (Figure 11): lead-acid battery strings, supercapacitor modules,
-their charge/discharge physics, and the Ah-throughput lifetime model used
-for the Figure 12(c) battery-lifetime results.
+in hardware (Figure 11): the lead-acid battery pool, the supercapacitor
+pool, their charge/discharge physics, and the Ah-throughput lifetime
+model used for the Figure 12(c) battery-lifetime results.
 """
 
 from .device import EnergyStorageDevice, FlowResult, DeviceTelemetry
@@ -18,7 +18,6 @@ from .kibam import (
 from .battery import LeadAcidBattery
 from .supercap import Supercapacitor
 from .lifetime import AhThroughputLifetimeModel, LifetimeReport
-from .bank import DeviceBank
 from .characterization import (
     CharacterizationResult,
     RecoveryResult,
@@ -43,7 +42,6 @@ __all__ = [
     "Supercapacitor",
     "AhThroughputLifetimeModel",
     "LifetimeReport",
-    "DeviceBank",
     "CharacterizationResult",
     "RecoveryResult",
     "constant_power_charge",

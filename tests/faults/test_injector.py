@@ -193,10 +193,9 @@ class TestDegradationSteps:
         injector = make_injector(SupercapESRDrift(start_s=0.0,
                                                   esr_multiplier=3.0))
         buffers = make_buffers()
-        base = [d.esr_ohm for d in _sc_leaves(buffers)]
+        base = buffers.sc.esr_ohm
         injector.begin_tick(0.0, 1.0, buffers)
-        drifted = [d.esr_ohm for d in _sc_leaves(buffers)]
-        assert drifted == pytest.approx([3.0 * r for r in base])
+        assert buffers.sc.esr_ohm == pytest.approx(3.0 * base)
 
     def test_leakage_drains_sc_only(self):
         injector = make_injector(
@@ -215,11 +214,6 @@ class TestDegradationSteps:
         out_before = buffers.energy_out_j()
         injector.begin_tick(0.0, 1.0, buffers)
         assert buffers.energy_out_j() == out_before
-
-
-def _sc_leaves(buffers):
-    from repro.faults.injector import _leaf_devices
-    return _leaf_devices(buffers.sc)
 
 
 class TestObserve:

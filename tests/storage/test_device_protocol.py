@@ -1,6 +1,6 @@
 """Device-protocol conformance: every storage type obeys the same rules.
 
-The engine treats batteries, supercapacitors and banks uniformly through
+The engine treats batteries and supercapacitors uniformly through
 :class:`EnergyStorageDevice`; this suite runs one set of invariants
 against every concrete implementation so interface drift is caught at the
 protocol level rather than deep inside a simulation.
@@ -10,7 +10,7 @@ import pytest
 
 from repro.config import BatteryConfig, SupercapConfig
 from repro.errors import ConfigurationError
-from repro.storage import DeviceBank, LeadAcidBattery, Supercapacitor
+from repro.storage import LeadAcidBattery, Supercapacitor
 
 
 def make_battery():
@@ -21,27 +21,9 @@ def make_supercap():
     return Supercapacitor(SupercapConfig())
 
 
-def make_battery_bank():
-    return DeviceBank([LeadAcidBattery(BatteryConfig(), name=f"b{i}")
-                       for i in range(2)])
-
-
-def make_sc_bank():
-    return DeviceBank([Supercapacitor(SupercapConfig(), name=f"s{i}")
-                       for i in range(2)])
-
-
-def make_mixed_bank():
-    return DeviceBank([LeadAcidBattery(BatteryConfig()),
-                       Supercapacitor(SupercapConfig())])
-
-
 FACTORIES = {
     "battery": make_battery,
     "supercap": make_supercap,
-    "battery-bank": make_battery_bank,
-    "sc-bank": make_sc_bank,
-    "mixed-bank": make_mixed_bank,
 }
 
 

@@ -17,9 +17,11 @@ the whole stack to that contract:
   with clean and renewable lanes, each lane also checked to give the
   same result alone as in the mix (lane independence), and the golden
   fault fixtures run as one batched group;
+* hand-built clusters wider than the prototype's six servers;
 * the batched runner path: grouping (faulted requests included),
-  cache-key/hit accounting, and cache interchangeability between the
-  batched and scalar paths;
+  cache-key/hit accounting, cache interchangeability between the
+  batched and scalar paths, and groups the engine rejects failing
+  loudly instead of switching engines;
 * the degenerate shapes — empty batch, singleton batch.
 
 Everything compares with ``==`` on the full result dataclasses: any
@@ -33,13 +35,16 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import ControllerConfig
-from repro.core.policies import POLICY_NAMES
+from repro.config import ControllerConfig, prototype_buffer, prototype_cluster
+from repro.core.policies import POLICY_NAMES, make_policy
 from repro.core.policies.base import Policy, SlotPlan
+from repro.errors import BatchCompatibilityError
+from repro.experiments.resilience import fault_schedule_for
 from repro.faults import (
     BatteryCellAging,
     BatteryOpenCircuit,
     ConverterDropout,
+    FaultInjector,
     FaultSchedule,
     SensorNoise,
     SupercapESRDrift,
@@ -56,7 +61,9 @@ from repro.runner import (
     execute_request,
     plan_units,
 )
+from repro.sim import HybridBuffers, Simulation
 from repro.sim.batch import BatchSimulation
+from repro.workloads import get_workload
 
 from tests.faults.test_golden_scenarios import (
     SCENARIOS as GOLDEN_FAULT_SCENARIOS,
@@ -385,6 +392,47 @@ class TestFaultedLanes:
 
 
 # ----------------------------------------------------------------------
+# Clusters wider than the prototype
+# ----------------------------------------------------------------------
+
+def _wide_sims(num_servers):
+    """Eight hand-built lanes on a ``num_servers``-server cluster: the
+    six policies over the eight workloads, on a budget and buffers tight
+    enough to shed and restart servers, with a full-intensity storm on
+    every third lane."""
+    cluster = dataclasses.replace(prototype_cluster(),
+                                  num_servers=num_servers,
+                                  utility_budget_w=33.0 * num_servers)
+    hybrid = prototype_buffer(total_energy_wh=0.8 * num_servers)
+    sims = []
+    for lane, workload in enumerate(WORKLOADS):
+        scheme = POLICY_NAMES[lane % len(POLICY_NAMES)]
+        trace = get_workload(workload, duration_s=RUN_S,
+                             num_servers=num_servers,
+                             server=cluster.server, seed=lane + 1)
+        injector = (FaultInjector(fault_schedule_for(1.0, RUN_S, seed=lane))
+                    if lane % 3 == 1 else None)
+        sims.append(Simulation(
+            trace,
+            make_policy(scheme, hybrid=hybrid, controller=FAST_CONTROLLER),
+            HybridBuffers(hybrid, include_sc=scheme != "BaOnly"),
+            cluster_config=cluster, controller_config=FAST_CONTROLLER,
+            injector=injector))
+    return sims
+
+
+class TestWideClusters:
+    @pytest.mark.parametrize("num_servers", (9, 16))
+    def test_wide_cluster_lanes_bit_exact(self, num_servers):
+        """Past numpy's 8-term pairwise-summation threshold both engines
+        still total demand in server-index order."""
+        batched = BatchSimulation(_wide_sims(num_servers)).run_all()
+        _assert_identical(batched,
+                          [sim.run() for sim in _wide_sims(num_servers)])
+        assert any(result.metrics.total_restarts > 0 for result in batched)
+
+
+# ----------------------------------------------------------------------
 # Degenerate shapes
 # ----------------------------------------------------------------------
 
@@ -463,3 +511,25 @@ class TestBatchedRunner:
         assert scalar_runner.hits == len(requests)
         assert scalar_runner.misses == 0
         _assert_identical(second, first)
+
+
+class TestRejectedGroups:
+    def test_mismatched_trace_lengths_raise(self):
+        sims = [build_simulation(_request("HEB-F", "WC", duration_h=0.05)),
+                build_simulation(_request("BaFirst", "MS"))]
+        with pytest.raises(BatchCompatibilityError,
+                           match="trace length differs"):
+            BatchSimulation(sims)
+
+    def test_runner_group_rejection_propagates(self, monkeypatch):
+        """A rejected group raises out of ``map``; it is never rerun on
+        the scalar engine."""
+        def reject(sims):
+            raise BatchCompatibilityError("rejected")
+
+        monkeypatch.setattr("repro.runner.batch.BatchSimulation", reject)
+        requests = [_request("HEB-F", "WC"), _request("BaFirst", "MS")]
+        units, _ = plan_units(requests)
+        assert [kind for kind, _ in units] == ["group"]
+        with pytest.raises(BatchCompatibilityError, match="rejected"):
+            ExperimentRunner(jobs=1).map(requests)
