@@ -3,7 +3,7 @@
 The batched engine (PR 7) is bit-exact with the scalar oracle because
 every scalar structure grew a lane-parallel twin: ``Simulation`` ↔
 ``BatchSimulation``, ``ServerCluster`` ↔ ``BatchCluster``, scheduler,
-storage, and IPDU twins.  Nothing *structural* enforced that pairing —
+buffer, and IPDU twins.  Nothing *structural* enforced that pairing —
 the next engine PR can add a scalar method, attribute, or tuning
 constant and silently leave the batched twin behind, and the drift only
 surfaces when a golden fixture diverges (or worse, doesn't, because the
@@ -88,6 +88,8 @@ class TwinPair:
 #: The declared pairing registry for this repository.  Exemptions carry
 #: their reasons inline — this table *is* the twin contract reviewers
 #: audit when the engine grows state (see docs/analysis.md, Pass 4).
+#: The storage devices have no pair: each of their flows is one kernel
+#: (``repro.storage.kernels``) that both engines run.
 TWIN_REGISTRY: Tuple[TwinPair, ...] = (
     TwinPair(
         scalar="Simulation", batch="BatchSimulation",
@@ -178,87 +180,6 @@ TWIN_REGISTRY: Tuple[TwinPair, ...] = (
                               "scalar buffers after write_back()",
             "lifetime_report": "reporting stays on the wrapped scalar "
                                "buffers after write_back()",
-        },
-        check_attrs=False,
-    ),
-    TwinPair(
-        scalar="LeadAcidBattery", batch="BatchBattery",
-        aliases={"stored_energy_j": "stored_j"},
-        exempt={
-            "state": "the KiBaM wells live in the (lanes,) available/"
-                     "bound arrays; the scalar state object is rebuilt "
-                     "at write_back()",
-            "internal_resistance_ohm": "captured as a lane array "
-                                       "(re-read by rehoist_lane()) "
-                                       "and inlined into the batch "
-                                       "voltage arithmetic",
-            "age_fraction": "captured with the aged capacity and "
-                            "resistance at construction and at each "
-                            "rehoist_lane(); throughput rides "
-                            "BatchLifetime and writes back per lane",
-            "apply_aging": "a fault step runs the scalar mutator on "
-                           "the lane's written-back battery, then "
-                           "rehoist_lane() re-reads the lane through "
-                           "the constructor",
-            "config": "lanes share per-lane scalar configs captured as "
-                      "constant arrays at construction",
-            "telemetry": "per-lane telemetry lives in BatchTelemetry "
-                         "and is written back after the run",
-            "max_discharge_power_w": "the batch discharge path inlines "
-                                     "the bound (mask arithmetic), "
-                                     "bit-exact with the scalar method",
-            "max_charge_power_w": "inlined into the batch charge path, "
-                                  "bit-exact with the scalar method",
-            "is_full": "inlined as a mask in the batch charge path",
-            "is_depleted": "inlined as a mask in the batch discharge "
-                           "path",
-            "rest": "flush_step() covers the batched rest semantics "
-                    "(KiBaM bound-charge equalization)",
-            "reset": "batch lanes are single-use; fresh lanes are new "
-                     "arrays",
-            "set_depth_of_discharge": "DoD is fixed per run; lanes "
-                                      "capture it at construction",
-            "nominal_energy_j": "captured as a constant lane array at "
-                                "construction",
-            "headroom_j": "inlined as mask arithmetic in the batch "
-                          "charge path",
-        },
-        check_attrs=False,
-    ),
-    TwinPair(
-        scalar="Supercapacitor", batch="BatchSupercap",
-        aliases={"stored_energy_j": "stored_j"},
-        exempt={
-            "voltage": "per-lane terminal voltage is internal batch "
-                       "state; the scalar accessor is served by the "
-                       "wrapped device after write_back()",
-            "esr_ohm": "captured as the (lanes,) esr array at "
-                       "construction and re-read by rehoist_lane()",
-            "apply_esr_drift": "a fault step runs the scalar mutator "
-                               "on the lane's written-back SC, then "
-                               "rehoist_lane() re-reads the lane "
-                               "through the constructor",
-            "config": "lanes share per-lane scalar configs captured as "
-                      "constant arrays at construction",
-            "telemetry": "per-lane telemetry lives in BatchTelemetry "
-                         "and is written back after the run",
-            "max_discharge_power_w": "inlined into the batch discharge "
-                                     "voltage loop, bit-exact",
-            "max_charge_power_w": "inlined into the batch charge "
-                                  "voltage loop, bit-exact",
-            "is_full": "inlined as a mask in the batch charge path",
-            "is_depleted": "inlined as a mask in the batch discharge "
-                           "path",
-            "reset": "batch lanes are single-use; fresh lanes are new "
-                     "arrays",
-            "set_depth_of_discharge": "DoD is fixed per run; lanes "
-                                      "capture it at construction",
-            "nominal_energy_j": "captured as a constant lane array at "
-                                "construction",
-            "headroom_j": "inlined as mask arithmetic in the batch "
-                          "charge path",
-            "open_circuit_voltage": "the batch voltage loop tracks "
-                                    "per-lane voltage state directly",
         },
         check_attrs=False,
     ),

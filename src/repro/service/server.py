@@ -113,9 +113,10 @@ async def _read_request(reader: asyncio.StreamReader
     try:
         length = int(length_text)
     except ValueError:
-        raise ProtocolError(
-            f"invalid Content-Length {length_text!r}") from None
-    if length < 0 or length > MAX_BODY_BYTES:
+        length = -1
+    if length < 0:
+        raise ProtocolError(f"invalid Content-Length {length_text!r}")
+    if length > MAX_BODY_BYTES:
         raise ProtocolError(f"body of {length} bytes exceeds the "
                             f"{MAX_BODY_BYTES}-byte limit")
     if length:

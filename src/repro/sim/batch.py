@@ -22,16 +22,17 @@ where the lane's fault state can change.  Persistent steps run the
 scalar device mutators on a written-back lane and re-hoist it, so the
 fault semantics exist once.
 
-The scalar ``Simulation`` stays the bit-exactness oracle:
 ``BatchSimulation([s1, ..., sN]).run_all()`` returns
 :class:`~repro.sim.results.RunResult` objects **exactly equal** to
-``[s1.run(), ..., sN.run()]``, per scenario.  Every expression here is
-a lane-wise transcription of the scalar code with operand order,
-branch structure, and epsilon thresholds preserved; where the scalar
-engine leans on Python semantics (selection ``min``/``max``, CPython
-``**``, element-order sums) the batch path replicates those semantics
-rather than substituting the NumPy near-equivalent (see
-:mod:`repro.storage.batch`).
+``[s1.run(), ..., sN.run()]``, per scenario.  The storage flows are
+not transcribed: both engines run the kernels of
+:mod:`repro.storage.kernels`.  The rest of this module is a lane-wise
+transcription of the scalar engine, which stays its oracle, with
+operand order, branch structure, and epsilon thresholds preserved;
+where the scalar engine leans on Python semantics (selection
+``min``/``max``, CPython ``**``, element-order sums) the batch path
+replicates those semantics rather than substituting the NumPy
+near-equivalent (see :mod:`repro.storage.kernels`).
 
 The loop holds no per-tick history: demand is copied from the lanes'
 traces a chunk of ticks at a time, and a slot close re-reads the slot's
@@ -59,8 +60,8 @@ from ..errors import BatchCompatibilityError
 from ..power.batch import BatchFabric, BatchIPDU
 from ..server.batch import (SOURCE_SUPERCAP, SOURCE_UTILITY, BatchCluster,
                             SOURCE_BATTERY)
-from ..storage.batch import (BatchBattery, BatchLifetime, BatchSupercap,
-                             max0)
+from ..storage.batch import BatchBattery, BatchLifetime, BatchSupercap
+from ..storage.kernels import max0
 from .buffers import HybridBuffers
 from .engine import Simulation, _CALENDAR_LIFE_YEARS, _EPSILON
 from .metrics import MetricsAccumulator, finalize_metrics
@@ -95,7 +96,7 @@ class BatchBuffers:
         self.n = n
         self.scalars = list(buffers)
         self.battery = BatchBattery([b.battery for b in buffers], dt)
-        self.sc = BatchSupercap([b.sc for b in buffers], dt)
+        self.sc = BatchSupercap([b.sc for b in buffers])
         self.lifetime = BatchLifetime([b.lifetime for b in buffers])
         self.has_sc = self.sc.present
         self._battery_touched = np.zeros(n, dtype=bool)

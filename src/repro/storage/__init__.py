@@ -3,7 +3,9 @@
 This package implements the physical layer the paper's prototype provides
 in hardware (Figure 11): the lead-acid battery pool, the supercapacitor
 pool, their charge/discharge physics, and the Ah-throughput lifetime
-model used for the Figure 12(c) battery-lifetime results.
+model used for the Figure 12(c) battery-lifetime results.  Each flow is
+written once, in :mod:`repro.storage.kernels`; the devices run it on
+Python floats and :mod:`repro.storage.batch` on lane arrays.
 """
 
 from .device import EnergyStorageDevice, FlowResult, DeviceTelemetry

@@ -159,6 +159,12 @@ class EnergyStorageDevice(ABC):
         if not 0.0 < dod <= 1.0:
             raise ConfigurationError(f"DoD must lie in (0, 1], got {dod!r}")
         self._soc_floor = 1.0 - dod
+        self._hoist()
+
+    @abstractmethod
+    def _hoist(self) -> None:
+        """Recompute the constants derived from the config, any
+        degradation and the DoD floor (the flows read them per call)."""
 
     @property
     def usable_energy_j(self) -> float:
@@ -190,14 +196,6 @@ class EnergyStorageDevice(ABC):
         """Open-circuit terminal voltage at the current state."""
 
     @abstractmethod
-    def max_discharge_power_w(self, dt: float) -> float:
-        """Largest terminal power sustainable for the next ``dt`` seconds."""
-
-    @abstractmethod
-    def max_charge_power_w(self, dt: float) -> float:
-        """Largest terminal power absorbable for the next ``dt`` seconds."""
-
-    @abstractmethod
     def discharge(self, power_w: float, dt: float) -> FlowResult:
         """Deliver up to ``power_w`` at the terminals for ``dt`` seconds."""
 
@@ -224,19 +222,6 @@ class EnergyStorageDevice(ABC):
         if dt <= 0.0:
             raise ConfigurationError(
                 f"{self.name}: dt must be positive, got {dt!r}")
-
-    @staticmethod
-    def _noflow(power_w: float, voltage_v: float) -> FlowResult:
-        """A zero-exchange result used when a request cannot be served."""
-        return FlowResult(
-            requested_w=power_w,
-            achieved_w=0.0,
-            energy_j=0.0,
-            loss_j=0.0,
-            terminal_voltage_v=voltage_v,
-            limited=power_w > 0.0,
-            current_a=0.0,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<{type(self).__name__} {self.name!r} "

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
+from . import kernels
+from .kernels import FLOAT
 
 
 @dataclass
@@ -80,6 +82,16 @@ class KiBaMState:
         return min(1.0, max(0.0, self.total_c / self.capacity_c))
 
     @property
+    def avail_cap(self) -> float:
+        """Capacity of the available well."""
+        return self.capacity_c * self.c
+
+    @property
+    def bound_cap(self) -> float:
+        """Capacity of the bound well."""
+        return self.capacity_c * (1.0 - self.c)
+
+    @property
     def available_fraction(self) -> float:
         """Fill level of the available well relative to its own capacity.
 
@@ -87,20 +99,18 @@ class KiBaMState:
         a heavily loaded battery's available well empties first, producing
         the sharp voltage drop of Figure 5 and the bounce-back after rest.
         """
-        available_capacity = self.capacity_c * self.c
-        return min(1.0, max(0.0, self.available_c / available_capacity))
+        return min(1.0, max(0.0, self.available_c / self.avail_cap))
 
 
 @dataclass(frozen=True)
 class KiBaMCoefficients:
     """The step terms that depend only on ``(k, c, dt)``, not on state.
 
-    Every closed-form expression below reuses ``exp(-k dt)`` and two
-    derived terms; with a fixed simulation tick these are loop
-    invariants, so they are computed once per parameter triple and
-    memoized.  Each derived term mirrors the exact arithmetic of the
-    original inline expressions (same operand order), so cached and
-    uncached evaluation are bit-for-bit identical.
+    Every closed-form expression reuses ``exp(-k dt)`` and a few derived
+    terms; with a fixed simulation tick these are loop invariants, so
+    they are computed once per parameter triple and memoized.  The
+    kernels of :mod:`repro.storage.kernels` read these names, here for
+    one battery and stacked into lanes for a batch.
     """
 
     k: float
@@ -108,10 +118,19 @@ class KiBaMCoefficients:
     dt: float
     ekt: float
     one_m_ekt: float
+    one_m_c: float
     #: ``k*dt - (1 - exp(-k dt))`` — the ramp term of the closed form.
-    kdt_m_one_m_ekt: float
-    #: ``one_m_ekt + c * kdt_m_one_m_ekt`` — shared max-current denominator.
-    denominator: float
+    ramp: float
+    #: The max-current denominator ``one_m_ekt + c * ramp``, or 1.0
+    #: where it is not positive (``den_bad``; the current is then 0).
+    den_safe: float
+    den_bad: bool
+
+    @property
+    def any_den_bad(self) -> bool:
+        """Whether the ``den_bad`` guard is needed (for lane-stacked
+        coefficients: on any lane)."""
+        return self.den_bad
 
 
 _COEFFICIENT_CACHE: Dict[Tuple[float, float, float], KiBaMCoefficients] = {}
@@ -126,29 +145,15 @@ def kibam_coefficients(k: float, c: float, dt: float) -> KiBaMCoefficients:
             raise ConfigurationError(f"dt must be positive, got {dt!r}")
         ekt = math.exp(-k * dt)
         one_m_ekt = 1.0 - ekt
-        kdt_m_one_m_ekt = k * dt - one_m_ekt
-        denominator = one_m_ekt + c * (k * dt - one_m_ekt)
+        ramp = k * dt - one_m_ekt
+        denominator = one_m_ekt + c * ramp
+        den_bad = denominator <= 0.0
         cached = KiBaMCoefficients(
-            k=k, c=c, dt=dt, ekt=ekt, one_m_ekt=one_m_ekt,
-            kdt_m_one_m_ekt=kdt_m_one_m_ekt, denominator=denominator)
+            k=k, c=c, dt=dt, ekt=ekt, one_m_ekt=one_m_ekt, one_m_c=1.0 - c,
+            ramp=ramp, den_safe=1.0 if den_bad else denominator,
+            den_bad=den_bad)
         _COEFFICIENT_CACHE[key] = cached  # repro: noqa[RPR702] pure memo keyed by (k, c, dt); per-worker copies recompute identical values, so divergence is unobservable
     return cached
-
-
-def _evolved(state: KiBaMState, available_c: float,
-             bound_c: float) -> KiBaMState:
-    """New state with updated wells, skipping re-validation.
-
-    ``__post_init__`` checks parameters that are copied unchanged from an
-    already-validated state, so the analytic step bypasses it.
-    """
-    new = KiBaMState.__new__(KiBaMState)
-    new.available_c = available_c
-    new.bound_c = bound_c
-    new.capacity_c = state.capacity_c
-    new.c = state.c
-    new.k = state.k
-    return new
 
 
 def kibam_step(state: KiBaMState, current_a: float, dt: float,
@@ -169,84 +174,28 @@ def kibam_step(state: KiBaMState, current_a: float, dt: float,
     """
     if coeffs is None:
         coeffs = kibam_coefficients(state.k, state.c, dt)
-    k, c = state.k, state.c
-    y1, y2 = state.available_c, state.bound_c
-    y0 = y1 + y2
-    i = current_a
-
-    ekt = coeffs.ekt
-    one_m_ekt = coeffs.one_m_ekt
-    ramp = coeffs.kdt_m_one_m_ekt
-    # Closed-form constant-current solution (Manwell & McGowan 1993).
-    new_y1 = (y1 * ekt
-              + (y0 * k * c - i) * one_m_ekt / k
-              - i * c * ramp / k)
-    new_y2 = (y2 * ekt
-              + y0 * (1.0 - c) * one_m_ekt
-              - i * (1.0 - c) * ramp / k)
-
-    # Branchy clamps (identical to min(max(...)) including NaN flow-through)
-    # keep numerical dust inside [0, well capacity] without builtin calls.
-    available_capacity = state.capacity_c * c
-    bound_capacity = state.capacity_c * (1.0 - c)
-    if new_y1 < 0.0:
-        new_y1 = 0.0
-    elif new_y1 > available_capacity:
-        new_y1 = available_capacity
-    if new_y2 < 0.0:
-        new_y2 = 0.0
-    elif new_y2 > bound_capacity:
-        new_y2 = bound_capacity
-    return _evolved(state, new_y1, new_y2)
+    y1, y2 = kernels.kibam_step(state, FLOAT, coeffs, state.available_c,
+                                state.bound_c, current_a)
+    return KiBaMState(available_c=y1, bound_c=y2,
+                      capacity_c=state.capacity_c, c=state.c, k=state.k)
 
 
 def kibam_max_discharge_current(state: KiBaMState, dt: float,
                                 coeffs: Optional[KiBaMCoefficients] = None,
                                 ) -> float:
-    """Largest constant current that keeps the available well >= 0 over dt.
-
-    Derived by setting y1(dt) = 0 in the closed-form solution and solving
-    for the current.
-    """
+    """Largest constant current that keeps the available well >= 0 over dt."""
     if coeffs is None:
         coeffs = kibam_coefficients(state.k, state.c, dt)
-    k, c = state.k, state.c
-    y1 = state.available_c
-    y0 = y1 + state.bound_c
-
-    ekt = coeffs.ekt
-    one_m_ekt = coeffs.one_m_ekt
-    denominator = coeffs.denominator
-    if denominator <= 0.0:
-        return 0.0
-    numerator = k * y1 * ekt + y0 * k * c * one_m_ekt
-    return max(0.0, numerator / denominator)
+    return kernels.kibam_max_discharge(FLOAT, coeffs, state.available_c,
+                                       state.total_c)
 
 
 def kibam_max_charge_current(state: KiBaMState, dt: float,
                              coeffs: Optional[KiBaMCoefficients] = None,
                              ) -> float:
     """Largest constant charging current that keeps the available well
-    at or below its capacity over ``dt`` seconds.
-
-    The mirror image of :func:`kibam_max_discharge_current`: charging fills
-    the available well first, and acceptance drops as it saturates — the
-    physical root of the battery's limited valley-energy absorption that
-    the REU experiments (Figure 12d) hinge on.
-    """
+    at or below its capacity over ``dt`` seconds."""
     if coeffs is None:
         coeffs = kibam_coefficients(state.k, state.c, dt)
-    k, c = state.k, state.c
-    y1 = state.available_c
-    y0 = y1 + state.bound_c
-    available_capacity = state.capacity_c * c
-
-    ekt = coeffs.ekt
-    one_m_ekt = coeffs.one_m_ekt
-    denominator = coeffs.denominator
-    if denominator <= 0.0:
-        return 0.0
-    # Set y1(dt) = available_capacity with i = -current (charging).
-    numerator = (available_capacity - y1 * ekt
-                 - y0 * c * one_m_ekt) * k
-    return max(0.0, numerator / denominator)
+    return kernels.kibam_max_charge(state, FLOAT, coeffs, state.available_c,
+                                    state.total_c)

@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from ..config import BatteryConfig
 from ..errors import ConfigurationError
 from ..units import SECONDS_PER_YEAR, coulombs_to_ah
+from . import kernels
 from .device import FlowResult
+from .kernels import FLOAT
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,9 @@ class AhThroughputLifetimeModel:
             raise ConfigurationError("current_stress_exponent must be >= 0")
         self.current_stress_exponent = current_stress_exponent
         self.low_soc_stress = low_soc_stress
+        # Constants the wear kernel reads.
+        self.ref = config.reference_current_a
+        self.exponent_on = bool(current_stress_exponent)
         self._effective_throughput_c = 0.0
         self._raw_throughput_c = 0.0
         self._observation_s = 0.0
@@ -89,13 +94,7 @@ class AhThroughputLifetimeModel:
 
     def weight(self, current_a: float, soc: float) -> float:
         """Severity weight for charge discharged at (current, soc)."""
-        cfg = self.config
-        current_weight = 1.0
-        if current_a > cfg.reference_current_a and self.current_stress_exponent:
-            ratio = current_a / cfg.reference_current_a
-            current_weight = ratio ** self.current_stress_exponent
-        soc_weight = 1.0 + self.low_soc_stress * max(0.0, 1.0 - soc)
-        return current_weight * soc_weight
+        return kernels.wear_weight(self, FLOAT, current_a, soc, True)
 
     def observe_discharge(self, current_a: float, dt: float,
                           soc: float) -> None:

@@ -140,6 +140,43 @@ def test_line_past_the_stream_limit_is_400_and_close(raw_request,
     run_async(scenario())
 
 
+def _request_line_of(size: int) -> bytes:
+    filler = size - len(b"GET / HTTP/1.1\r\n")
+    return b"GET /" + b"a" * filler + b" HTTP/1.1\r\n"
+
+
+def _post_with_length(length: bytes) -> bytes:
+    return b"POST /runs HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n"
+
+
+@pytest.mark.parametrize("raw_request, message", [
+    (_request_line_of(9_000) + b"\r\n", b"request line too long"),
+    (b"GET /stats HTTP/1.1\r\n"
+     + b"".join(b"X-Pad-%d: " % i + b"a" * 7_989 + b"\r\n"
+                for i in range(5)) + b"\r\n",
+     b"request headers too large"),
+    (_post_with_length(b"1048577"),
+     b"body of 1048577 bytes exceeds the 1048576-byte limit"),
+    (_post_with_length(b"-1"), b"invalid Content-Length '-1'"),
+    (_post_with_length(b"abc"), b"invalid Content-Length 'abc'"),
+], ids=["request-line-9000", "five-8000-byte-headers", "body-over-limit",
+        "negative-length", "non-numeric-length"])
+def test_size_limits_get_their_own_400(raw_request, message):
+    """Each size check of the wire parser (request line, total headers,
+    body length) answers with its own structured 400, well below the
+    64 KiB line limit of the stream reader."""
+
+    async def scenario():
+        service = make_service()
+        server = await start_server(service)
+        raw = await _raw_exchange(server.host, server.port, raw_request)
+        assert raw.startswith(b"HTTP/1.1 400")
+        assert b"ProtocolError" in raw and message in raw
+        await server.close()
+
+    run_async(scenario())
+
+
 def test_keep_alive_serves_many_exchanges_on_one_connection():
     async def scenario():
         service = make_service()

@@ -57,11 +57,6 @@ class TestProtocolConformance:
         device.discharge(50.0, 10.0)
         assert device.stored_energy_j < before
 
-    def test_max_discharge_power_w_is_achievable(self, device):
-        limit = device.max_discharge_power_w(1.0)
-        result = device.discharge(limit, 1.0)
-        assert result.achieved_w >= 0.5 * limit
-
     def test_charge_when_not_full_accepts_something(self, device):
         device.reset(0.5)
         result = device.charge(20.0, 1.0)
